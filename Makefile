@@ -34,12 +34,14 @@ race:
 faults:
 	$(GO) run ./cmd/hqfaults -verify
 
-# Wire-fault smoke: the small-d netsim scenario campaign under the
-# race detector, plus a byte-identical -verify replay of the netsim
-# scenario family. Full-depth coverage lives in
-# TestFaultedRunsTerminateClean (d<=8, plain `test`/`race`).
+# Wire-fault smoke: every dual-validator test under the race detector
+# — the striped validator checked event for event against the
+# test-only locked reference, for all three protocols fault-free and
+# under their fault plans (the coordinated engine under its
+# delivery-fault plans) — plus a byte-identical -verify replay of the
+# netsim scenario family.
 faults-netsim:
-	$(GO) test -race -run 'Faulted|DualValidatorUnderLinkFaults' ./internal/netsim/...
+	$(GO) test -race -run 'Faulted|DualValidator|StripedMatchesLocked' ./internal/netsim/...
 	$(GO) run ./cmd/hqfaults -d 3 -family netsim -verify
 
 # Full machine-readable benchmark report (compare against the

@@ -3,8 +3,8 @@
 // crash-tolerant goroutine runtimes, the discrete-event engine, and —
 // with wire-level link faults — the message-passing netsim engine,
 // each checked against its fault-free baseline (runtime scenarios by
-// the trace-replay invariant verifier; netsim scenarios by both the
-// striped and locked validators, which must agree field-for-field).
+// the trace-replay invariant verifier; netsim scenarios by the engine's
+// striped validator, whose replay checks every invariant).
 //
 // Usage:
 //
@@ -402,57 +402,51 @@ type netBaseline struct {
 	moves, agentMsgs, beaconMsgs int64
 }
 
-func netsimConfig(plan *faults.Plan, mode netsim.ValidatorMode) netsim.Config {
+func netsimConfig(plan *faults.Plan) netsim.Config {
 	return netsim.Config{
 		Seed:       7,
 		MaxLatency: 300 * time.Microsecond,
-		Validator:  mode,
 		Faults:     plan,
 	}
 }
 
-func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan, mode netsim.ValidatorMode) netsim.Stats {
+func runNetsim(a *netarena.Arena, d int, engine string, plan *faults.Plan) netsim.Stats {
 	switch engine {
 	case engineNetsimClone:
-		return a.RunCloning(d, netsimConfig(plan, mode))
+		return a.RunCloning(d, netsimConfig(plan))
 	case engineNetsimClean:
-		return a.RunClean(d, netsimConfig(plan, mode))
+		return a.RunClean(d, netsimConfig(plan))
 	default:
-		return a.Run(d, netsimConfig(plan, mode))
+		return a.Run(d, netsimConfig(plan))
 	}
 }
 
-// runNetScenario executes one wire-fault scenario under both validator
-// implementations: the run must terminate monotone, contiguous and
-// all-clean with zero recontaminations on both, with field-identical
-// stats, and recovery must leave the logical run unchanged against
-// the fault-free baseline.
+// runNetScenario executes one wire-fault scenario: the run must
+// terminate monotone, contiguous and all-clean with zero
+// recontaminations, and recovery must leave the logical run unchanged
+// against the fault-free baseline.
 func runNetScenario(a *netarena.Arena, d int, s netScenario, bases map[string]netBaseline) netOutcome {
 	o := netOutcome{name: s.name, engine: s.engine}
-	plan := s.plan(d)
-	striped := runNetsim(a, d, s.engine, plan, netsim.ValidatorStriped)
-	locked := runNetsim(a, d, s.engine, plan, netsim.ValidatorLocked)
+	st := runNetsim(a, d, s.engine, s.plan(d))
 
-	o.moves = striped.TotalMoves
-	o.agentMsgs, o.beaconMsgs = striped.AgentMessages, striped.BeaconMessages
-	o.frames, o.drops = striped.Link.Frames, striped.Link.Drops
-	o.retransmits, o.dups = striped.Link.Retransmits, striped.Link.Dups
-	o.crashes, o.cascades = striped.Link.Crashes, striped.Link.Cascades
-	o.partitioned = striped.Link.Partitioned
-	o.dTime = striped.Link.WireTime // a fault-free wire bills zero
+	o.moves = st.TotalMoves
+	o.agentMsgs, o.beaconMsgs = st.AgentMessages, st.BeaconMessages
+	o.frames, o.drops = st.Link.Frames, st.Link.Drops
+	o.retransmits, o.dups = st.Link.Retransmits, st.Link.Dups
+	o.crashes, o.cascades = st.Link.Crashes, st.Link.Cascades
+	o.partitioned = st.Link.Partitioned
+	o.dTime = st.Link.WireTime // a fault-free wire bills zero
 
 	o.check = "ok"
 	switch b := bases[s.engine]; {
-	case striped != locked:
-		o.check = "validator stats diverge"
-	case !striped.Captured || !striped.MonotoneOK || !striped.ContiguousOK:
+	case !st.Captured || !st.MonotoneOK || !st.ContiguousOK:
 		o.check = fmt.Sprintf("not clean: captured=%v monotone=%v contiguous=%v",
-			striped.Captured, striped.MonotoneOK, striped.ContiguousOK)
-	case striped.Recontaminations != 0:
-		o.check = fmt.Sprintf("%d recontaminations", striped.Recontaminations)
-	case striped.AgentMessages != b.agentMsgs || striped.BeaconMessages != b.beaconMsgs:
+			st.Captured, st.MonotoneOK, st.ContiguousOK)
+	case st.Recontaminations != 0:
+		o.check = fmt.Sprintf("%d recontaminations", st.Recontaminations)
+	case st.AgentMessages != b.agentMsgs || st.BeaconMessages != b.beaconMsgs:
 		o.check = fmt.Sprintf("recovery changed the wire: agents %d->%d beacons %d->%d",
-			b.agentMsgs, striped.AgentMessages, b.beaconMsgs, striped.BeaconMessages)
+			b.agentMsgs, st.AgentMessages, b.beaconMsgs, st.BeaconMessages)
 	}
 	o.dMoves = o.moves - bases[s.engine].moves
 	o.pass = o.check == "ok"
@@ -462,7 +456,7 @@ func runNetScenario(a *netarena.Arena, d int, s netScenario, bases map[string]ne
 // netReport renders the wire-fault section deterministically.
 func netReport(bases map[string]netBaseline, outs []netOutcome) (string, bool) {
 	var sb strings.Builder
-	sb.WriteString("netsim wire-fault scenarios (striped + locked validators)\n\n")
+	sb.WriteString("netsim wire-fault scenarios (striped validator)\n\n")
 	fmt.Fprintf(&sb, "baselines (fault-free): ")
 	for _, e := range []string{engineNetsimVis, engineNetsimClone, engineNetsimClean} {
 		b := bases[e]
@@ -524,7 +518,7 @@ func runNetsimCampaign(d, workers int, keep map[string]bool) (string, bool, erro
 	}
 	engines := []string{engineNetsimVis, engineNetsimClone, engineNetsimClean}
 	baseRuns, err := sched.CollectW(workers, len(engines), func(w, i int) netBaseline {
-		s := runNetsim(arenas[w], d, engines[i], nil, netsim.ValidatorStriped)
+		s := runNetsim(arenas[w], d, engines[i], nil)
 		return netBaseline{s.TotalMoves, s.AgentMessages, s.BeaconMessages}
 	})
 	if err != nil {

@@ -361,3 +361,19 @@ func NodesInClass(d, i int) []Node {
 	}
 	return out
 }
+
+// Golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const Golden uint64 = 0x9E3779B97F4A7C15
+
+// SplitMix64 is the SplitMix64 finalizer (Steele, Lea & Flood, "Fast
+// Splittable Pseudorandom Number Generators"): it adds the golden
+// increment and applies a bijective avalanche mix. It is the repo's
+// one way to derive decorrelated seed streams from correlated inputs;
+// stepping a state by Golden and mixing it is the SplitMix64
+// generator.
+func SplitMix64(x uint64) uint64 {
+	x += Golden
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}

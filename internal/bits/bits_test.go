@@ -376,3 +376,17 @@ func TestCheckDim(t *testing.T) {
 		}()
 	}
 }
+
+// TestSplitMix64Reference pins the finalizer against the reference
+// generator: stepping state 0 by Golden yields the published
+// SplitMix64 sequence for seed 0.
+func TestSplitMix64Reference(t *testing.T) {
+	want := []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F}
+	var state uint64
+	for i, w := range want {
+		if got := SplitMix64(state); got != w {
+			t.Errorf("output %d = %#x, want %#x", i, got, w)
+		}
+		state += Golden
+	}
+}

@@ -72,12 +72,14 @@ type Spec struct {
 	// lock-starve, lost-wakeup, kernel-lag) compile to an injector;
 	// crash faults need the crash-tolerant goroutine runtime and link
 	// faults need the network engine, so plans carrying either are
-	// rejected rather than silently not firing. On the network engine
-	// the plan's link faults drive the wire layer (netsim validates
-	// them against the topology at config time). Determinism is
-	// preserved: the same (Spec, Faults) pair always produces the same
-	// Result, which is what lets the campaign service cache runs by
-	// (d, protocol, seed, Faults.CanonicalHash()).
+	// rejected rather than silently not firing. The Synchronous
+	// strategy is defined only for lockstep unit latency, so it rejects
+	// every plan. On the network engine the plan's link faults drive
+	// the wire layer (netsim validates them against the topology at
+	// config time). Determinism is preserved: the same (Spec, Faults)
+	// pair always produces the same Result, which is what lets the
+	// campaign service cache runs by (d, protocol, seed,
+	// Faults.CanonicalHash()).
 	Faults *faults.Plan
 }
 
@@ -152,6 +154,9 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 	if spec.Faults != nil {
 		if err := spec.Faults.Validate(); err != nil {
 			return metrics.Result{}, nil, err
+		}
+		if spec.Strategy == Synchronous {
+			return metrics.Result{}, nil, fmt.Errorf("core: plan %q: the %s strategy advances in lockstep unit-latency rounds and takes no fault plan", spec.Faults.Name, Synchronous)
 		}
 		if spec.Faults.RequiresRecovery() {
 			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries crash faults, which need the crash-tolerant goroutine runtime (runtime.RunCleanFT/RunVisibilityFT)", spec.Faults.Name)

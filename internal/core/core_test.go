@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"hypersearch/internal/combin"
+	"hypersearch/internal/envpool"
+	"hypersearch/internal/faults"
 )
 
 func TestRunAllStrategiesDES(t *testing.T) {
@@ -108,6 +110,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, _, err := Run(Spec{Strategy: Cloning, Dim: 3, Engine: EngineGoroutines}); err == nil {
 		t.Error("cloning has no goroutine engine but was accepted")
+	}
+}
+
+// TestSynchronousRejectsFaultPlans: the synchronous variant is defined
+// only for lockstep unit-latency rounds. A DES delay plan used to
+// reach it and panic inside a DES process goroutine ("node 1 holds 2
+// agents at t=1, want 4"), where no recover covers it; core must
+// refuse the plan with an error, on both entry points, while the same
+// plan still runs on an asynchronous strategy.
+func TestSynchronousRejectsFaultPlans(t *testing.T) {
+	spike := &faults.Plan{Name: "spike", Seed: 1, Faults: []faults.Fault{
+		{Kind: faults.LatencySpike, Target: faults.TargetAny, At: 3, Until: 6, Delay: 4},
+	}}
+	spec := Spec{Strategy: Synchronous, Dim: 4, Faults: spike}
+	if _, env, err := Run(spec); err == nil || env != nil {
+		t.Errorf("Run: synchronous with a fault plan: err=%v env=%v, want an error and no env", err, env)
+	}
+	if _, env, err := RunWith(spec, envpool.New()); err == nil || env != nil {
+		t.Errorf("RunWith: synchronous with a fault plan: err=%v env=%v, want an error and no env", err, env)
+	}
+	spec.Strategy = Visibility
+	res, _, err := Run(spec)
+	if err != nil || !res.Ok() {
+		t.Errorf("visibility under the same plan: %s, %v", res.String(), err)
 	}
 }
 

@@ -84,8 +84,8 @@ func TestDelayStepNearZeroAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure(1000) // warmup
-	base := measure(1000)
-	big := measure(51000)
+	base := minMallocs(measure, 1000)
+	big := minMallocs(measure, 51000)
 	perDelay := float64(big-base) / 50000
 	if perDelay > 0.01 {
 		t.Errorf("Delay allocates %.3f per step, want ~0 (base=%d big=%d)", perDelay, base, big)
@@ -125,12 +125,27 @@ func TestFireReusesWaiterArrays(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure(100) // warmup
-	base := measure(100)
-	big := measure(5100)
+	base := minMallocs(measure, 100)
+	big := minMallocs(measure, 5100)
 	perWave := float64(big-base) / 5000
 	if perWave > 0.05 {
 		t.Errorf("Fire wave allocates %.3f, want ~0 (base=%d big=%d)", perWave, base, big)
 	}
+}
+
+// minMallocs runs measure(n) a few times and returns the smallest
+// allocation count seen. The runtime's own background work (worker
+// goroutines of earlier runs exiting, scheduler bookkeeping) can only
+// add mallocs to a measured window, never remove them, so the minimum
+// is the closest reading of the kernel's own cost. The result is
+// signed so a short run that caught more noise than a long one yields
+// a negative marginal cost instead of wrapping around.
+func minMallocs(measure func(n int) uint64, n int) int64 {
+	best := measure(n)
+	for i := 0; i < 4; i++ {
+		best = min(best, measure(n))
+	}
+	return int64(best)
 }
 
 // TestHeapOrderRandomized: the 4-ary heap dispatches any workload in

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hypersearch/internal/combin"
-	"hypersearch/internal/heapqueue"
-	"hypersearch/internal/hypercube"
-	"hypersearch/internal/netsim/faultlink"
 )
 
 // CleanName identifies the message-passing CLEAN run in results.
@@ -109,80 +105,49 @@ func RunCleanOn(f *Fabric, cfg Config) Stats {
 	s.AgentMoves = s.TotalMoves - s.SyncMoves
 	s.BeaconMessages = 0 // the coordinated protocol needs no beacons
 	s.BeaconBits = 0
-	if c.fl != nil {
-		s.Link = c.fl.SummaryStats()
-	}
+	s.Link = c.linkSummary()
 	f.complete()
 	return s
 }
 
-// cleanNet is the shared wiring; hosts communicate only via mailboxes.
-// Like network, it lives inside a Fabric and is reused across runs.
+// cleanNet is the coordinated wiring: the shared wire plus per-host
+// scratch, boot-time pool membership and move accounting; hosts
+// communicate only via mailboxes.
 type cleanNet struct {
-	h       *hypercube.Hypercube
-	bt      *heapqueue.Tree
-	cfg     Config
-	val     validator
-	boxes   []*cleanMailbox
+	wire[cleanMessage]
 	scratch []cleanScratch
 	syncID  int
 	pool    []int // boot-time pool membership (root-local thereafter)
-
-	// fl is the active wire-fault layer (nil on the fault-free path);
-	// flPool is the pooled instance it aliases, as in network.
-	fl     *faultlink.Layer[cleanMessage]
-	flPool *faultlink.Layer[cleanMessage]
-
-	timers timerSet // quiescence barrier over delivery timers
 
 	moves     atomic.Int64
 	syncMoves atomic.Int64
 }
 
-// wireFaults interposes the wire-fault layer on the coordinated
-// protocol for delivery faults (drop, dup, delay, partition). Host
-// crashes — plain or cascading — are rejected for this engine: the
-// synchronizer's program and the cleaners themselves ride the
-// messages, so an amnesia crash plus ledger replay would re-forward
-// agents that already moved on, which no recovery contract covers.
-// The visibility engines, whose host state is rebuildable soft state,
-// remain the crash/cascade testbed.
-func (c *cleanNet) wireFaults() {
-	if err := c.cfg.Faults.ValidateForHosts(c.h.Order()); err != nil {
-		panic(fmt.Errorf("netsim: %w", err))
-	}
-	if !c.cfg.Faults.HasLinkFaults() {
-		c.fl = nil
-		return
-	}
-	if c.cfg.Faults.HasHostCrashFaults() {
+// rejectHostCrashes admits delivery faults (drop, dup, delay,
+// partition) only. Host crashes — plain or cascading — are rejected
+// for this engine: the synchronizer's program and the cleaners
+// themselves ride the messages, so an amnesia crash plus ledger replay
+// would re-forward agents that already moved on, which no recovery
+// contract covers. The visibility engines, whose host state is
+// rebuildable soft state, remain the crash/cascade testbed.
+func (c *cleanNet) rejectHostCrashes() {
+	if c.fl != nil && c.cfg.Faults.HasHostCrashFaults() {
 		panic(fmt.Errorf("netsim: plan %q carries host-crash/cascade faults, which the %s engine does not support — protocol state rides the messages and cannot be replayed; use the visibility engines", c.cfg.Faults.Name, CleanName))
 	}
-	if c.flPool == nil {
-		c.flPool = faultlink.New(c.cfg.Faults, c.h.Order(), faultlink.Options{},
-			func(to, _ int, _ bool, m cleanMessage) {
-				// Without host crashes there are no ledger replays, and
-				// protocol causality (the shutdown flood starts only
-				// after every cleaner is home) means no frame can chase
-				// a closed mailbox: deliver loudly.
-				c.boxes[to].Send(m)
-			},
-			func(to int) {
-				panic(fmt.Sprintf("netsim: crash callback fired for host %d on the %s engine — host-crash plans are rejected at config time", to, CleanName))
-			})
-	} else {
-		c.flPool.Reset(c.cfg.Faults)
-	}
-	c.fl = c.flPool
 }
 
-// quiesce drains the run's delivery timers and, when faulted, the wire
-// layer's retransmit/delay/duplicate timers.
-func (c *cleanNet) quiesce() {
-	c.timers.wait()
-	if c.fl != nil {
-		c.fl.Quiesce()
-	}
+// deliverFrame is the wire-fault layer's delivery callback. Without
+// host crashes there are no ledger replays, and protocol causality
+// (the shutdown flood starts only after every cleaner is home) means
+// no frame can chase a closed mailbox: deliver loudly.
+func (c *cleanNet) deliverFrame(to, _ int, _ bool, m cleanMessage) {
+	c.boxes[to].Send(m)
+}
+
+// crashHost is the wire-fault layer's crash callback, unreachable
+// because rejectHostCrashes refuses host-crash plans.
+func (c *cleanNet) crashHost(to int) {
+	panic(fmt.Sprintf("netsim: crash callback fired for host %d on the %s engine — host-crash plans are rejected at config time", to, CleanName))
 }
 
 // cleanHost is one host's local state.
@@ -467,17 +432,10 @@ func (c *cleanNet) hopSync(rng *hostRNG, from, to int, st *cleanHost) {
 // send delivers a coordinated-protocol message with link latency,
 // routing through the wire-fault layer when the plan interposes one.
 func (c *cleanNet) send(rng *hostRNG, to int, m cleanMessage) {
-	lat := time.Duration(0)
-	if c.cfg.MaxLatency > 0 {
-		lat = time.Duration(rng.Int63n(int64(c.cfg.MaxLatency) + 1))
-	}
+	lat := c.latency(rng)
 	if c.fl != nil {
 		c.fl.Send(m.From, to, lat, m)
 		return
 	}
-	if lat == 0 {
-		c.boxes[to].Send(m)
-		return
-	}
-	c.timers.after(lat, func() { c.boxes[to].Send(m) })
+	c.post(lat, to, m)
 }

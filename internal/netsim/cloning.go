@@ -46,9 +46,7 @@ func RunCloningOn(f *Fabric, cfg Config) Stats {
 	net.quiesce()
 
 	s := val.stats(val.agents(), net.agentMsgs.Load(), net.beaconMsgs.Load())
-	if net.fl != nil {
-		s.Link = net.fl.SummaryStats()
-	}
+	s.Link = net.linkSummary()
 	s.Strategy = CloningName
 	f.complete()
 	return s

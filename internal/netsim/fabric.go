@@ -1,10 +1,6 @@
 package netsim
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"hypersearch/internal/heapqueue"
 	"hypersearch/internal/hypercube"
 )
@@ -37,7 +33,6 @@ type Fabric struct {
 	cnet *cleanNet // coordinated wiring, built on first use
 
 	striped *stripedValidator
-	locked  *lockedValidator
 	ids     []int // boot-time agent id scratch
 
 	completed bool
@@ -81,16 +76,10 @@ func (f *Fabric) Quiesce() {
 func (f *Fabric) PendingTimers() int64 {
 	var n int64
 	if f.net != nil {
-		n += f.net.timers.pending.Load()
-		if f.net.flPool != nil {
-			n += f.net.flPool.PendingTimers()
-		}
+		n += f.net.pendingTimers()
 	}
 	if f.cnet != nil {
-		n += f.cnet.timers.pending.Load()
-		if f.cnet.flPool != nil {
-			n += f.cnet.flPool.PendingTimers()
-		}
+		n += f.cnet.pendingTimers()
 	}
 	return n
 }
@@ -102,20 +91,11 @@ func (f *Fabric) begin() { f.completed = false }
 // complete marks the run finished; the fabric may be pooled again.
 func (f *Fabric) complete() { f.completed = true }
 
-// validator returns the run's invariant checker: the pooled
-// implementation the config selects, reset for a new run, or a fresh
-// one from the test hook.
+// validator returns the run's invariant checker: the pooled striped
+// validator reset for a new run, or a fresh one from the test hook.
 func (f *Fabric) validator(cfg Config) validator {
 	if cfg.newValidator != nil {
 		return cfg.newValidator(f.h)
-	}
-	if cfg.Validator == ValidatorLocked {
-		if f.locked == nil {
-			f.locked = newLockedValidator(f.h)
-		} else {
-			f.locked.reset()
-		}
-		return f.locked
 	}
 	if f.striped == nil {
 		f.striped = newStripedValidator(f.h)
@@ -135,31 +115,17 @@ func (f *Fabric) bootIDs(n int) []int {
 }
 
 // visNetwork returns the visibility/cloning wiring reset for a new
-// run: mailboxes reopened with bounded retained capacity, message
-// counters zeroed, and the wire-fault layer re-armed when the plan
-// asks for it.
+// run, with its message counters zeroed.
 func (f *Fabric) visNetwork(cfg Config, val validator) *network {
 	n := f.net
 	if n == nil {
-		n = &network{
-			h: f.h, bt: f.bt,
-			boxes:   make([]*Mailbox, f.h.Order()),
-			scratch: make([]hostScratch, f.h.Order()),
-		}
-		for v := range n.boxes {
-			n.boxes[v] = NewMailbox()
-		}
+		n = &network{scratch: make([]hostScratch, f.h.Order())}
+		n.build(f.h, f.bt, n.deliverFrame, n.crashHost)
 		f.net = n
-	} else {
-		for _, q := range n.boxes {
-			q.reset()
-		}
 	}
-	n.cfg = cfg
-	n.val = val
+	n.reset(cfg, val)
 	n.agentMsgs.Store(0)
 	n.beaconMsgs.Store(0)
-	n.wireFaults()
 	return n
 }
 
@@ -167,25 +133,14 @@ func (f *Fabric) visNetwork(cfg Config, val validator) *network {
 func (f *Fabric) cleanNetwork(cfg Config, val validator) *cleanNet {
 	c := f.cnet
 	if c == nil {
-		c = &cleanNet{
-			h: f.h, bt: f.bt,
-			boxes:   make([]*cleanMailbox, f.h.Order()),
-			scratch: make([]cleanScratch, f.h.Order()),
-		}
-		for v := range c.boxes {
-			c.boxes[v] = newCleanMailbox()
-		}
+		c = &cleanNet{scratch: make([]cleanScratch, f.h.Order())}
+		c.build(f.h, f.bt, c.deliverFrame, c.crashHost)
 		f.cnet = c
-	} else {
-		for _, q := range c.boxes {
-			q.reset()
-		}
 	}
-	c.cfg = cfg
-	c.val = val
+	c.reset(cfg, val)
+	c.rejectHostCrashes()
 	c.moves.Store(0)
 	c.syncMoves.Store(0)
-	c.wireFaults()
 	return c
 }
 
@@ -203,34 +158,3 @@ type cleanScratch struct {
 	rng hostRNG
 	st  cleanHost
 }
-
-// timerSet is a run's timer quiescence barrier: every time.AfterFunc
-// the engine schedules registers at schedule time and deregisters only
-// after its callback returns, and wait blocks until the count drains.
-// Joining the host goroutines proves the protocol finished; draining
-// the barrier proves no delivery is still in flight on a wall-clock
-// timer — without it a delayed Send is a benign straggler on a
-// throwaway network but a use-after-reuse on a pooled one.
-type timerSet struct {
-	wg      sync.WaitGroup
-	pending atomic.Int64 // observable mirror of the WaitGroup count
-}
-
-// after schedules fn on a wall-clock timer under the barrier.
-func (t *timerSet) after(d time.Duration, fn func()) {
-	t.pending.Add(1)
-	t.wg.Add(1)
-	time.AfterFunc(d, func() {
-		defer func() {
-			t.pending.Add(-1)
-			t.wg.Done()
-		}()
-		fn()
-	})
-}
-
-// wait blocks until every scheduled timer has fired and returned. The
-// engines' sends never chain timers, and wait is only called after
-// the host goroutines have joined, so no new registration can race the
-// drain.
-func (t *timerSet) wait() { t.wg.Wait() }

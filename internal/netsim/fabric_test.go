@@ -163,3 +163,41 @@ func TestHostRNGStreamsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestHostRNGGolden pins the per-host derivation and generator: the
+// initial state, the first three outputs and one latency-sized draw
+// of a few (seed, host, stream) triples. Every netsim latency schedule
+// rests on these streams, so they must stay byte-identical.
+func TestHostRNGGolden(t *testing.T) {
+	cases := []struct {
+		seed   int64
+		host   int
+		stream uint64
+		state  uint64
+		next   [3]uint64
+		draw   int64 // Int63n(300001) after the three outputs
+	}{
+		{0, 0, streamVisibility, 5929138861785095975,
+			[3]uint64{14423009347772813178, 5871928278264341791, 600212458984397836}, 205647},
+		{7, 3, streamClean, 10337033126836335031,
+			[3]uint64{15662412219013264752, 18247289166664099318, 7241215036199503655}, 151718},
+		{-1, 4095, streamCloning, 2063821530978943164,
+			[3]uint64{2725142669566878828, 2972795629189262221, 18426960295866533219}, 186763},
+		{99, 7, streamVisibility, 17171160814857388116,
+			[3]uint64{17940482637615718401, 14487458625172263661, 5884655015824523590}, 274311},
+	}
+	for _, c := range cases {
+		r := newHostRNG(c.seed, c.host, c.stream)
+		if r.state != c.state {
+			t.Errorf("newHostRNG(%d, %d, %#x) state = %d, want %d", c.seed, c.host, c.stream, r.state, c.state)
+		}
+		for i, want := range c.next {
+			if got := r.next(); got != want {
+				t.Errorf("seed=%d host=%d: output %d = %d, want %d", c.seed, c.host, i, got, want)
+			}
+		}
+		if got := r.Int63n(300001); got != c.draw {
+			t.Errorf("seed=%d host=%d: Int63n = %d, want %d", c.seed, c.host, got, c.draw)
+		}
+	}
+}

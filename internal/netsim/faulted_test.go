@@ -106,7 +106,8 @@ func checkFaultedStats(t *testing.T, s Stats, plan string) {
 }
 
 // TestFaultedRunsTerminateClean drives both engines through every
-// scenario with both validator implementations and asserts the run is
+// scenario under the dual validator (the striped validator checked
+// event for event against the locked reference) and asserts the run is
 // indistinguishable from a clean one at the protocol level: same
 // moves, same message counts, all nodes clean.
 func TestFaultedRunsTerminateClean(t *testing.T) {
@@ -114,30 +115,28 @@ func TestFaultedRunsTerminateClean(t *testing.T) {
 		if testing.Short() && d > 5 {
 			continue
 		}
-		for _, mode := range []ValidatorMode{ValidatorStriped, ValidatorLocked} {
-			base := Config{Seed: int64(31*d + 7), MaxLatency: 300 * time.Microsecond, Validator: mode}
-			cleanVis := Run(d, base)
-			cleanClone := RunCloning(d, base)
-			for _, plan := range netsimFaultPlans(d) {
-				cfg := base
-				cfg.Faults = plan
-				name := fmt.Sprintf("d=%d mode=%d plan=%s", d, mode, plan.Name)
+		base := withDualValidator(t, Config{Seed: int64(31*d + 7), MaxLatency: 300 * time.Microsecond})
+		cleanVis := Run(d, base)
+		cleanClone := RunCloning(d, base)
+		for _, plan := range netsimFaultPlans(d) {
+			cfg := base
+			cfg.Faults = plan
+			name := fmt.Sprintf("d=%d plan=%s", d, plan.Name)
 
-				s := Run(d, cfg)
-				checkFaultedStats(t, s, name+" visibility")
-				if s.AgentMoves != cleanVis.AgentMoves || s.AgentMessages != cleanVis.AgentMessages ||
-					s.BeaconMessages != cleanVis.BeaconMessages || s.TeamSize != cleanVis.TeamSize {
-					t.Errorf("%s: recovery changed the logical run: faulted {moves=%d agents=%d beacons=%d team=%d} clean {%d %d %d %d}",
-						name, s.AgentMoves, s.AgentMessages, s.BeaconMessages, s.TeamSize,
-						cleanVis.AgentMoves, cleanVis.AgentMessages, cleanVis.BeaconMessages, cleanVis.TeamSize)
-				}
+			s := Run(d, cfg)
+			checkFaultedStats(t, s, name+" visibility")
+			if s.AgentMoves != cleanVis.AgentMoves || s.AgentMessages != cleanVis.AgentMessages ||
+				s.BeaconMessages != cleanVis.BeaconMessages || s.TeamSize != cleanVis.TeamSize {
+				t.Errorf("%s: recovery changed the logical run: faulted {moves=%d agents=%d beacons=%d team=%d} clean {%d %d %d %d}",
+					name, s.AgentMoves, s.AgentMessages, s.BeaconMessages, s.TeamSize,
+					cleanVis.AgentMoves, cleanVis.AgentMessages, cleanVis.BeaconMessages, cleanVis.TeamSize)
+			}
 
-				c := RunCloning(d, cfg)
-				checkFaultedStats(t, c, name+" cloning")
-				if c.AgentMoves != cleanClone.AgentMoves || c.AgentMessages != cleanClone.AgentMessages ||
-					c.BeaconMessages != cleanClone.BeaconMessages {
-					t.Errorf("%s cloning: recovery changed the logical run", name)
-				}
+			c := RunCloning(d, cfg)
+			checkFaultedStats(t, c, name+" cloning")
+			if c.AgentMoves != cleanClone.AgentMoves || c.AgentMessages != cleanClone.AgentMessages ||
+				c.BeaconMessages != cleanClone.BeaconMessages {
+				t.Errorf("%s cloning: recovery changed the logical run", name)
 			}
 		}
 	}
@@ -191,31 +190,36 @@ func TestFaultedWireAccounting(t *testing.T) {
 // TestDualValidatorUnderLinkFaults runs every scenario with the dual
 // validator, which t.Errors on any field divergence between the
 // locked and striped implementations while both observe the faulted
-// event stream.
+// event stream: visibility and cloning under the whole campaign, the
+// coordinated engine under every delivery-fault plan it accepts.
 func TestDualValidatorUnderLinkFaults(t *testing.T) {
 	for d := 2; d <= 8; d++ {
 		if testing.Short() && d > 5 {
 			continue
 		}
+		base := withDualValidator(t, Config{Seed: int64(13*d + 3), MaxLatency: 200 * time.Microsecond})
 		for _, plan := range netsimFaultPlans(d) {
-			cfg := Config{
-				Seed:       int64(13*d + 3),
-				MaxLatency: 200 * time.Microsecond,
-				Faults:     plan,
-				newValidator: func(h *hypercube.Hypercube) validator {
-					return newDualValidator(t, h)
-				},
-			}
+			cfg := base
+			cfg.Faults = plan
 			s := Run(d, cfg)
 			checkFaultedStats(t, s, fmt.Sprintf("dual d=%d plan=%s visibility", d, plan.Name))
 			c := RunCloning(d, cfg)
 			checkFaultedStats(t, c, fmt.Sprintf("dual d=%d plan=%s cloning", d, plan.Name))
 		}
+		for _, plan := range deliveryOnlyPlans(d) {
+			cfg := base
+			cfg.Faults = plan
+			s := RunClean(d, cfg)
+			checkFaultedStats(t, s, fmt.Sprintf("dual d=%d plan=%s clean", d, plan.Name))
+		}
 	}
 }
 
-// deliveryOnlyPlans filters the campaign to the plans the coordinated
-// engine accepts: everything except host-crash/cascade shapes.
+// deliveryOnlyPlans is the plan set the coordinated engine accepts:
+// every host-crash-free shape of the campaign, plus the clean-cut
+// shape hqfaults runs on that engine — a dimension-1 subcube cut with
+// frame loss on link 0-2, which parks couriers and the synchronizer in
+// the cut and re-delivers the dropped hop.
 func deliveryOnlyPlans(d int) []*faults.Plan {
 	var out []*faults.Plan
 	for _, p := range netsimFaultPlans(d) {
@@ -223,33 +227,34 @@ func deliveryOnlyPlans(d int) []*faults.Plan {
 			out = append(out, p)
 		}
 	}
-	return out
+	return append(out, &faults.Plan{Name: "clean-cut", Seed: 18, Faults: []faults.Fault{
+		{Kind: faults.Partition, Target: faults.CutDimTarget(1), At: 1, Until: 2, Delay: 500},
+		{Kind: faults.LinkDrop, Target: faults.LinkTarget(0, 2), At: 1, Until: 2, Times: 2},
+	}})
 }
 
 // TestCleanFaultedRunsTerminateClean drives the coordinated engine
-// through every delivery-fault scenario (drop, dup, delay, partition):
-// recovery must leave the logical run — moves, team size, invariants —
-// byte-identical to the fault-free one.
+// through every delivery-fault scenario (drop, dup, delay, partition)
+// under the dual validator: recovery must leave the logical run —
+// moves, team size, invariants — byte-identical to the fault-free one.
 func TestCleanFaultedRunsTerminateClean(t *testing.T) {
 	for d := 2; d <= 8; d++ {
 		if testing.Short() && d > 5 {
 			continue
 		}
-		for _, mode := range []ValidatorMode{ValidatorStriped, ValidatorLocked} {
-			base := Config{Seed: int64(17*d + 1), MaxLatency: 300 * time.Microsecond, Validator: mode}
-			fresh := RunClean(d, base)
-			for _, plan := range deliveryOnlyPlans(d) {
-				cfg := base
-				cfg.Faults = plan
-				name := fmt.Sprintf("clean d=%d mode=%d plan=%s", d, mode, plan.Name)
-				s := RunClean(d, cfg)
-				checkFaultedStats(t, s, name)
-				if s.TotalMoves != fresh.TotalMoves || s.SyncMoves != fresh.SyncMoves ||
-					s.AgentMoves != fresh.AgentMoves || s.TeamSize != fresh.TeamSize {
-					t.Errorf("%s: recovery changed the logical run: faulted {total=%d sync=%d agent=%d team=%d} clean {%d %d %d %d}",
-						name, s.TotalMoves, s.SyncMoves, s.AgentMoves, s.TeamSize,
-						fresh.TotalMoves, fresh.SyncMoves, fresh.AgentMoves, fresh.TeamSize)
-				}
+		base := withDualValidator(t, Config{Seed: int64(17*d + 1), MaxLatency: 300 * time.Microsecond})
+		fresh := RunClean(d, base)
+		for _, plan := range deliveryOnlyPlans(d) {
+			cfg := base
+			cfg.Faults = plan
+			name := fmt.Sprintf("clean d=%d plan=%s", d, plan.Name)
+			s := RunClean(d, cfg)
+			checkFaultedStats(t, s, name)
+			if s.TotalMoves != fresh.TotalMoves || s.SyncMoves != fresh.SyncMoves ||
+				s.AgentMoves != fresh.AgentMoves || s.TeamSize != fresh.TeamSize {
+				t.Errorf("%s: recovery changed the logical run: faulted {total=%d sync=%d agent=%d team=%d} clean {%d %d %d %d}",
+					name, s.TotalMoves, s.SyncMoves, s.AgentMoves, s.TeamSize,
+					fresh.TotalMoves, fresh.SyncMoves, fresh.AgentMoves, fresh.TeamSize)
 			}
 		}
 	}

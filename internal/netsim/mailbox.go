@@ -114,8 +114,3 @@ type Mailbox = queue[Message]
 
 // NewMailbox returns an empty open mailbox.
 func NewMailbox() *Mailbox { return newQueue[Message]() }
-
-// cleanMailbox is the coordinated protocol's unbounded mailbox.
-type cleanMailbox = queue[cleanMessage]
-
-func newCleanMailbox() *cleanMailbox { return newQueue[cleanMessage]() }

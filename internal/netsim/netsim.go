@@ -9,8 +9,9 @@
 //
 // There is no shared memory between hosts: coordination is purely
 // message-passing (the per-host whiteboard is host-local state). A
-// locked board validates the global invariants as moves land, as in
-// the goroutine runtime.
+// striped validator records every agent event in per-stripe ledgers
+// and checks the global invariants by replaying them, in one global
+// sequence order, onto a board when the run ends.
 //
 // When Config.Faults carries link faults, every message crosses the
 // wire-fault layer (internal/netsim/faultlink): frames can be dropped
@@ -82,12 +83,9 @@ type Config struct {
 	// ignored by this engine (they drive the DES/runtime injector).
 	Faults *faults.Plan
 
-	// Validator selects the invariant-checker implementation; the
-	// zero value is the sharded (striped) validator.
-	Validator ValidatorMode
-
 	// newValidator lets tests substitute a validator (e.g. the dual
-	// checker comparing both implementations on one run).
+	// checker comparing the striped validator against a locked
+	// reference on one run).
 	newValidator func(*hypercube.Hypercube) validator
 }
 
@@ -152,83 +150,41 @@ func RunOn(f *Fabric, cfg Config) Stats {
 	// the mailboxes and ledgers the next run will reuse.
 	net.quiesce()
 	s := val.stats(team, net.agentMsgs.Load(), net.beaconMsgs.Load())
-	if net.fl != nil {
-		s.Link = net.fl.SummaryStats()
-	}
+	s.Link = net.linkSummary()
 	f.complete()
 	return s
 }
 
-// network is the shared wiring (hosts otherwise share nothing). It
-// lives inside a Fabric and is reused across runs: mailboxes reopen,
-// scratch re-arms per host, and the wire-fault layer resets under the
-// new plan.
+// network is the visibility/cloning wiring (hosts otherwise share
+// nothing): the shared wire plus per-host scratch and message
+// accounting.
 type network struct {
-	h       *hypercube.Hypercube
-	bt      *heapqueue.Tree
-	cfg     Config
-	val     validator
-	boxes   []*Mailbox
+	wire[Message]
 	scratch []hostScratch
-
-	// fl is the active wire-fault layer (nil on the fault-free path);
-	// flPool is the pooled instance it aliases, kept across runs so a
-	// faulted run after a clean one reuses the link/ledger maps.
-	fl     *faultlink.Layer[Message]
-	flPool *faultlink.Layer[Message]
-
-	timers timerSet // quiescence barrier over fault-free delivery timers
 
 	agentMsgs  atomic.Int64
 	beaconMsgs atomic.Int64
 }
 
-// wireFaults interposes the wire-fault layer when the plan asks for
-// it. Deliveries and crash markers use TrySend: a retired host has
-// closed its mailbox, and traffic at a decommissioned node is simply
-// dropped, never a protocol bug. The plan is validated against this
-// topology first — a link target naming a host outside 2^d would
-// silently never fire, so it is rejected here at engine-config time.
-func (n *network) wireFaults() {
-	if err := n.cfg.Faults.ValidateForHosts(n.h.Order()); err != nil {
-		panic(fmt.Errorf("netsim: %w", err))
-	}
-	if !n.cfg.Faults.HasLinkFaults() {
-		n.fl = nil
-		return
-	}
-	if n.flPool == nil {
-		n.flPool = faultlink.New(n.cfg.Faults, n.h.Order(), faultlink.Options{},
-			func(to, _ int, replay bool, m Message) {
-				m.Replay = replay
-				n.boxes[to].TrySend(m)
-			},
-			func(to int) {
-				n.boxes[to].TrySend(Message{Kind: HostRestart, From: to})
-			})
-	} else {
-		n.flPool.Reset(n.cfg.Faults)
-	}
-	n.fl = n.flPool
+// deliverFrame is the wire-fault layer's delivery callback. It uses
+// TrySend, as does crashHost: a retired host has closed its mailbox,
+// and traffic at a decommissioned node is simply dropped, never a
+// protocol bug.
+func (n *network) deliverFrame(to, _ int, replay bool, m Message) {
+	m.Replay = replay
+	n.boxes[to].TrySend(m)
 }
 
-// quiesce drains every wall-clock timer the run scheduled: the
-// engine's own delivery timers and, when faulted, the wire layer's
-// retransmit/delay/duplicate timers.
-func (n *network) quiesce() {
-	n.timers.wait()
-	if n.fl != nil {
-		n.fl.Quiesce()
-	}
+// crashHost is the wire-fault layer's crash callback: it posts the
+// HostRestart marker ahead of the ledger replay.
+func (n *network) crashHost(to int) {
+	n.boxes[to].TrySend(Message{Kind: HostRestart, From: to})
 }
 
 // send delivers a message after the link's randomized latency; rng is
 // owned by the sending host.
 func (n *network) send(rng *hostRNG, to int, m Message) {
-	lat := time.Duration(0)
-	if n.cfg.MaxLatency > 0 {
-		lat = time.Duration(rng.Int63n(int64(n.cfg.MaxLatency) + 1))
-	}
+	lat := n.latency(rng)
 	if n.fl != nil {
 		n.sendFaulted(lat, to, m)
 		return
@@ -239,11 +195,7 @@ func (n *network) send(rng *hostRNG, to int, m Message) {
 	case GuardedBeacon:
 		n.beaconMsgs.Add(1)
 	}
-	if lat == 0 {
-		n.boxes[to].Send(m)
-		return
-	}
-	n.timers.after(lat, func() { n.boxes[to].Send(m) })
+	n.post(lat, to, m)
 }
 
 // sendFaulted routes the message through the wire-fault layer.

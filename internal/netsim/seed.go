@@ -1,5 +1,7 @@
 package netsim
 
+import "hypersearch/internal/bits"
+
 // Per-host randomness. Every host owns a private latency stream
 // derived from (Config.Seed, host, engine stream tag). The derivation
 // runs the whole triple through splitmix64's finalizer instead of the
@@ -16,16 +18,6 @@ const (
 	streamCloning    uint64 = 0x636c6f6e // "clon"
 )
 
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix,
-// the standard way to spread correlated seeds across the word space.
-// (Same function as internal/runtime's seed derivation.)
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // hostRNG is a zero-allocation splitmix64 sequence. Hosts only need
 // latency jitter from it, so a single word of state replaces the
 // ~5KB source every rand.New used to allocate per host per run.
@@ -38,9 +30,9 @@ type hostRNG struct {
 // (seed, host, stream) to initial state injective in practice: each
 // stage's output avalanche separates inputs that differ in any field.
 func newHostRNG(seed int64, v int, stream uint64) hostRNG {
-	s := splitmix64(uint64(seed))
-	s = splitmix64(s + uint64(v))
-	s = splitmix64(s + stream)
+	s := bits.SplitMix64(uint64(seed))
+	s = bits.SplitMix64(s + uint64(v))
+	s = bits.SplitMix64(s + stream)
 	return hostRNG{state: s}
 }
 
@@ -48,8 +40,8 @@ func newHostRNG(seed int64, v int, stream uint64) hostRNG {
 // increment, so stepping the state by it and mixing is the canonical
 // generator.
 func (r *hostRNG) next() uint64 {
-	out := splitmix64(r.state)
-	r.state += 0x9E3779B97F4A7C15
+	out := bits.SplitMix64(r.state)
+	r.state += bits.Golden
 	return out
 }
 

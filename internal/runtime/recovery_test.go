@@ -146,7 +146,7 @@ func TestCleanFTDeterministicReruns(t *testing.T) {
 		{Kind: faults.LostWakeup, At: 3, Until: 12},
 	}}
 	type fingerprint struct {
-		total, agent, sync                        int64
+		total, agent, sync                       int64
 		crashes, reassigned, reelections, spares int
 	}
 	var runs []fingerprint
@@ -214,6 +214,29 @@ func TestDeriveSeedSpread(t *testing.T) {
 				t.Fatalf("deriveSeed collision at root=%d stream=%d", root, stream)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// TestDeriveSeedGolden pins deriveSeed's outputs, so every seeded
+// agent and injector stream stays byte-identical across refactors of
+// the mixer.
+func TestDeriveSeedGolden(t *testing.T) {
+	cases := []struct {
+		root   int64
+		stream uint64
+		want   int64
+	}{
+		{0, 0, -6411193824288604561},
+		{1, 0, 6791897765849424158},
+		{0, 1, 3069472533636442495},
+		{7, 3, -776262208239339584},
+		{-1, 42, -3677804332631450791},
+		{1<<40 + 5, 1 << 63, -964869532787590468},
+	}
+	for _, c := range cases {
+		if got := deriveSeed(c.root, c.stream); got != c.want {
+			t.Errorf("deriveSeed(%d, %d) = %d, want %d", c.root, c.stream, got, c.want)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package runtime
 
+import "hypersearch/internal/bits"
+
 // The goroutine runtime never seeds from the wall clock: every random
 // stream — per-agent schedulers, the fault injector, the watchdog — is
 // derived from the single explicit Config.Seed, so a run is
@@ -7,19 +9,10 @@ package runtime
 // split with SplitMix64 rather than seed+i so that adjacent agent
 // indices get decorrelated schedules.
 
-// splitmix64 is the standard SplitMix64 finalizer (Steele, Lea &
-// Flood, "Fast Splittable Pseudorandom Number Generators").
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // deriveSeed returns the seed for an independent stream of the run
 // identified by root. The mixing is deliberately asymmetric in (root,
 // stream) — an xor of two hashes would collide whenever the pair is
 // swapped — and distinct stream ids give decorrelated sources.
 func deriveSeed(root int64, stream uint64) int64 {
-	return int64(splitmix64(splitmix64(uint64(root)) + stream))
+	return int64(bits.SplitMix64(bits.SplitMix64(uint64(root)) + stream))
 }

@@ -76,9 +76,10 @@ type Request struct {
 
 	// Faults optionally injects a deterministic fault plan into every
 	// run. DES campaigns take delay faults (stall, spike, starve,
-	// lost-wakeup, kernel-lag); network campaigns take wire faults
-	// (drop/dup/delay/host-crash/partition/cascade). Crash faults need
-	// the goroutine runtime and are rejected at admission.
+	// lost-wakeup, kernel-lag) on every protocol but synchronous;
+	// network campaigns take wire faults (drop/dup/delay/host-crash/
+	// partition/cascade). Crash faults need the goroutine runtime and
+	// are rejected at admission.
 	Faults *faults.Plan `json:"faults,omitempty"`
 
 	// DeadlineMS caps the campaign's wall-clock execution; 0 uses the
@@ -255,6 +256,11 @@ func (q *Request) validatePlan() error {
 	case EngineDES:
 		if q.Faults.HasLinkFaults() {
 			return fmt.Errorf("plan %q carries link faults, which need the network engine", q.Faults.Name)
+		}
+		for _, p := range q.Protocols {
+			if p == core.Synchronous {
+				return fmt.Errorf("plan %q: protocol %q runs in lockstep unit-latency rounds and takes no fault plan", q.Faults.Name, p)
+			}
 		}
 	case EngineNetwork:
 		// A link target valid on H_8 may name a host outside H_4, so

@@ -93,6 +93,7 @@ func TestValidateRejections(t *testing.T) {
 		{"link target outside small cube", Request{DimMin: 2, DimMax: 3, Engine: EngineNetwork, Protocols: []string{core.Visibility}, Faults: bigLink}, "at d=2"},
 		{"host crash vs clean net", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Clean}, Faults: hostCrash}, "clean"},
 		{"network-only protocol", Request{DimMin: 2, Engine: EngineNetwork, Protocols: []string{core.Synchronous}}, "unknown protocol"},
+		{"plan on synchronous", Request{DimMin: 2, Protocols: []string{core.Visibility, core.Synchronous}, Faults: spikePlan()}, "lockstep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -486,6 +487,40 @@ func TestJournalCorruptMiddleStopsReplay(t *testing.T) {
 	// everything after it untrustworthy.
 	if len(entries) != 2 || skipped != 2 {
 		t.Fatalf("want 2 entries replayed and 2 skipped, got %d and %d", len(entries), skipped)
+	}
+}
+
+// spikePlan is a DES delay-fault plan the asynchronous strategies
+// accept.
+func spikePlan() *faults.Plan {
+	return &faults.Plan{Name: "spike", Seed: 1, Faults: []faults.Fault{
+		{Kind: faults.LatencySpike, Target: faults.TargetAny, At: 3, Until: 6, Delay: 4},
+	}}
+}
+
+// TestSynchronousFaultCampaignRejected: a DES fault plan on the
+// synchronous protocol used to panic inside a DES process goroutine,
+// beyond the panic isolation, and take the daemon down. It must be
+// refused at admission with a 400, and the daemon must go on serving.
+func TestSynchronousFaultCampaignRejected(t *testing.T) {
+	s := newTestServer(t, Config{MaxActive: 1, Workers: 1, QueueDepth: 8})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	_, code, err := postCampaign(ts.Client(), ts.URL,
+		&Request{Name: "sync-spike", DimMin: 4, Protocols: []string{core.Synchronous}, Faults: spikePlan()})
+	if err != nil || code != 400 {
+		t.Fatalf("synchronous fault campaign: want 400, got HTTP %d, %v", code, err)
+	}
+
+	id, code, err := postCampaign(ts.Client(), ts.URL,
+		&Request{Name: "after", DimMin: 3, DimMax: 4, Protocols: []string{core.Visibility, core.Synchronous}})
+	if err != nil || code != 202 {
+		t.Fatalf("follow-up submit: HTTP %d, %v", code, err)
+	}
+	status, runs, err := streamCampaign(ts.Client(), ts.URL, id)
+	if err != nil || status != StatusCompleted || runs != 4 {
+		t.Fatalf("follow-up stream: status %s, %d runs, %v", status, runs, err)
 	}
 }
 

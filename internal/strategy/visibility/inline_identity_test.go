@@ -166,18 +166,3 @@ func TestInlinePooledResetIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestRunEnvLegacyKnob: the environment knob routes RunEnv to the
-// reference path, and both routes agree.
-func TestRunEnvLegacyKnob(t *testing.T) {
-	viaInline := runPath(5, strategy.Options{}, false)
-	t.Setenv(LegacyEnvVar, "1")
-	env := strategy.NewEnv(5, strategy.Options{Record: true, Contiguity: strategy.CheckEveryMove})
-	res := RunEnv(env)
-	if res != viaInline.res {
-		t.Fatalf("legacy knob run diverges:\nknob:   %+v\ninline: %+v", res, viaInline.res)
-	}
-	if got, want := env.Log().Len(), len(viaInline.events); got != want {
-		t.Fatalf("legacy knob trace has %d events, inline %d", got, want)
-	}
-}

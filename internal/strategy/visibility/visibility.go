@@ -18,7 +18,6 @@ package visibility
 
 import (
 	"fmt"
-	"os"
 
 	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
@@ -31,13 +30,6 @@ import (
 // Name identifies the strategy in results and registries.
 const Name = "visibility"
 
-// LegacyEnvVar selects the goroutine-per-node reference path when set
-// to any non-empty value. The two paths are byte-identical (traces,
-// metrics, clean orders — see TestInlineMatchesLegacy); the reference
-// path costs 2^d goroutines and exists as the executable statement of
-// the algorithm and as the identity oracle for the inline engine.
-const LegacyEnvVar = "HYPERSEARCH_VISIBILITY_LEGACY"
-
 // Run executes the visibility strategy on H_d with the Theorem-5 team
 // of n/2 agents and returns the run summary and environment.
 func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
@@ -47,20 +39,18 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 
 // RunEnv executes the visibility strategy on an existing (fresh or
 // reset) environment; pooled sweeps use it to reuse environments. It
-// runs the event-driven inline engine (RunEnvInline) unless
-// LegacyEnvVar requests the goroutine-per-node reference path.
+// runs the event-driven inline engine (RunEnvInline).
 func RunEnv(env *strategy.Env) metrics.Result {
-	if os.Getenv(LegacyEnvVar) != "" {
-		return RunEnvLegacy(env)
-	}
 	return RunEnvInline(env)
 }
 
 // RunEnvLegacy executes the goroutine-per-node reference path: one DES
 // process per node awaiting the dispatch condition on its node signal.
 // O(2^d) goroutines and O(n·wakes) work bound it to small dimensions;
-// it is retained as the identity oracle the inline engine is tested
-// against.
+// it is retained as the executable statement of the algorithm and as
+// the identity oracle the inline engine is tested against
+// (TestInlineMatchesLegacy: byte-identical traces, metrics and clean
+// orders).
 func RunEnvLegacy(env *strategy.Env) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.VisibilityAgents(d))
