@@ -113,22 +113,34 @@ func strategyFamily(name string, d, iters int) family {
 // topology threshold and cross-checks every iteration against the
 // paper's closed forms (Theorems 2 and 3; the DES run saves one move
 // per root child because phase 0 places agents instead of escorting
-// them up): a scale benchmark that silently swept the wrong number of
-// nodes would be worse than no benchmark.
+// them up) and against the pinned synchronizer trajectory: a scale
+// benchmark that silently swept the wrong number of nodes, or let the
+// synchronizer drift, would be worse than no benchmark.
 func cleanScaleFamily(d, iters int) family {
+	want, pinned := cleanScaleSync[d]
 	return family{
 		name:  fmt.Sprintf("%s/d=%d", core.Clean, d),
 		iters: iters,
 		run: func() map[string]float64 {
 			res := mustRun(core.Spec{Strategy: core.Clean, Dim: d})
 			if int64(res.TeamSize) != combin.CleanTeamSize(d) ||
-				res.AgentMoves != combin.CleanAgentMoves(d)-int64(d) {
-				fmt.Fprintf(os.Stderr, "hqbench: clean/d=%d diverged from the closed forms: %s\n", d, res)
+				res.AgentMoves != combin.CleanAgentMoves(d)-int64(d) ||
+				pinned && (res.SyncMoves != want.syncMoves || res.Makespan != want.makespan) {
+				fmt.Fprintf(os.Stderr, "hqbench: clean/d=%d diverged from the closed forms or the pinned synchronizer trajectory: %s\n", d, res)
 				os.Exit(1)
 			}
 			return strategyMetrics(res)
 		},
 	}
+}
+
+// cleanScaleSync pins the synchronizer's unit-latency move count and
+// the run's makespan at the scale dimensions, where no closed form
+// covers them (TestCleanSyncTrajectoryGolden pins d = 2..16 the same
+// way; tier-1 tests never reach d = 20).
+var cleanScaleSync = map[int]struct{ syncMoves, makespan int64 }{
+	16: {305910, 305910},
+	20: {4893490, 4893490},
 }
 
 // visibilityScaleFamily benchmarks Algorithm CLEAN WITH VISIBILITY on

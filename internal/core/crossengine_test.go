@@ -70,18 +70,19 @@ func TestEnginesAgreeOnCosts(t *testing.T) {
 // trajectory: it is deterministic (descend-first routing, lexicographic
 // walk), so all engines must count the same synchronizer moves.
 func TestCleanSyncMovesAgreeAcrossEngines(t *testing.T) {
-	const d = 5
-	ref, _, err := Run(Spec{Strategy: Clean, Dim: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []string{EngineGoroutines, EngineNetwork} {
-		res, _, err := Run(Spec{Strategy: Clean, Dim: d, Engine: engine, Seed: 7, AdversarialLatency: 13})
+	for _, d := range []int{4, 5, 6, 8} {
+		ref, _, err := Run(Spec{Strategy: Clean, Dim: d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.SyncMoves != ref.SyncMoves {
-			t.Errorf("%s: sync moves %d, DES reference %d", engine, res.SyncMoves, ref.SyncMoves)
+		for _, engine := range []string{EngineGoroutines, EngineNetwork} {
+			res, _, err := Run(Spec{Strategy: Clean, Dim: d, Engine: engine, Seed: 7, AdversarialLatency: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SyncMoves != ref.SyncMoves {
+				t.Errorf("d=%d %s: sync moves %d, DES reference %d", d, engine, res.SyncMoves, ref.SyncMoves)
+			}
 		}
 	}
 }

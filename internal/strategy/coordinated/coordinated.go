@@ -19,6 +19,13 @@
 //	  step 2.3 when it passes a leaf (type T(0)), the leaf's agent
 //	           walks back to the root pool and becomes available again.
 //
+// The synchronizer is the run's only DES process: sequential code that
+// reads like the paper. Couriers and returners are inline DES actors
+// (pooled walkers stepping inside the event dispatch, one event per
+// hop), so no trip owns a goroutine and, with the synchronizer the
+// sole goroutine left, every baton hand-off is a self-resume with no
+// goroutine switch.
+//
 // Safety (Lemmas 1-2): when the last agent leaves a level-l node x,
 // every level-(l+1) neighbour of x is already guarded, because its
 // broadcast-tree parent is lexicographically smaller than x and was
@@ -51,20 +58,22 @@ func Run(d int, opts strategy.Options) (metrics.Result, *strategy.Env) {
 
 // RunEnv executes Algorithm CLEAN on an existing (fresh or reset)
 // environment; pooled sweeps use it to reuse environments across runs.
-func RunEnv(env *strategy.Env) metrics.Result {
+func RunEnv(env *strategy.Env) metrics.Result { return runEnv(env, (*cleaner).walk) }
+
+// launcher starts one trip of agent a concurrently with the
+// synchronizer: a courier down the broadcast tree to dst (home false)
+// or a returner from its leaf to the root pool (home true, dst 0). The
+// trip must end in c.arrive or c.rejoin.
+type launcher func(c *cleaner, a, dst int, home bool)
+
+// runEnv runs the algorithm with trips started by launch. Production
+// passes the inline walkers; the identity tests pass goroutine
+// processes as the oracle.
+func runEnv(env *strategy.Env, launch launcher) metrics.Result {
 	d := env.H.Dim()
 	team := int(combin.CleanTeamSize(d))
-	c := &cleaner{
-		env:  env,
-		at:   env.NodeLists(),
-		pool: make([]int, 0, team),
-	}
-	// The wait conditions are hoisted here so the synchronizer's level
-	// walk does not allocate a fresh closure per node (the parameters
-	// travel through the cleaner's fields; only the synchronizer
-	// process evaluates them).
-	c.havePool = func() bool { return len(c.pool) > 0 }
-	c.nodeReady = func() bool { return len(c.at[c.waitNode]) >= c.waitK }
+	c := cleanerFor(env)
+	c.launch = launch
 
 	// The synchronizer is elected first (whiteboard access order); the
 	// rest of the team forms the available pool at the root.
@@ -74,7 +83,7 @@ func RunEnv(env *strategy.Env) metrics.Result {
 	}
 
 	if d > 0 {
-		env.Sim.Spawn("synchronizer", c.run)
+		env.Sim.Spawn("synchronizer", c.runFn)
 	}
 	env.Sim.Run()
 
@@ -84,21 +93,46 @@ func RunEnv(env *strategy.Env) metrics.Result {
 }
 
 // cleaner carries the run state shared by the synchronizer process and
-// the courier/returner processes.
+// the walkers. It parks itself in the environment's aux slot under the
+// strategy name, so a pooled environment reuses the pool, signal,
+// hoisted closures and walker free list across runs.
 type cleaner struct {
-	env  *strategy.Env
-	sync int
+	env    *strategy.Env
+	sync   int
+	launch launcher
 
-	pool     []int      // agent ids available at the root
-	poolSig  des.Signal // fired when a returner reaches the root
-	at       [][]int    // node -> cleaner agent ids standing there
-	inFlight int        // couriers and returners on the move
+	pool    []int      // agent ids available at the root
+	poolSig des.Signal // fired when a returner reaches the root
+	at      [][]int    // node -> cleaner agent ids standing there
 
-	// Hoisted wait conditions and their parameters (see RunEnv).
+	// Hoisted wait conditions and their parameters, and the
+	// synchronizer's program, so neither the level walk nor the spawn
+	// allocates a fresh closure (the parameters travel through the
+	// cleaner's fields; only the synchronizer process evaluates them).
 	havePool  func() bool
 	nodeReady func() bool
 	waitNode  int
 	waitK     int
+	runFn     func(*des.Process)
+
+	freeWalker *walker
+}
+
+// cleanerFor returns the environment's parked cleaner, building it on
+// first use, and resets it for a fresh run.
+func cleanerFor(env *strategy.Env) *cleaner {
+	c, _ := env.Aux(Name).(*cleaner)
+	if c == nil {
+		c = &cleaner{env: env}
+		c.havePool = func() bool { return len(c.pool) > 0 }
+		c.nodeReady = func() bool { return len(c.at[c.waitNode]) >= c.waitK }
+		c.runFn = c.run
+		env.SetAux(Name, c)
+	}
+	c.pool = c.pool[:0]
+	c.poolSig.Reset()
+	c.at = env.NodeLists()
+	return c
 }
 
 func (c *cleaner) run(p *des.Process) {
@@ -133,7 +167,7 @@ func (c *cleaner) dispatchExtras(p *des.Process, l int) {
 		k := env.BT.Type(x)
 		for i := 0; i < k-1; i++ {
 			a := c.take(p)
-			c.spawnCourier(a, x)
+			c.launch(c, a, x, false)
 		}
 		return true
 	})
@@ -149,8 +183,7 @@ func (c *cleaner) walkLevel(p *des.Process, l int) {
 		k := env.BT.Type(x)
 		if k == 0 {
 			// 2.3: the leaf agent returns to the pool.
-			a := c.pop(x)
-			c.spawnReturner(a, x)
+			c.launch(c, c.pop(x), 0, true)
 			return true
 		}
 		// Wait for the full complement of k agents (extras may still
@@ -171,29 +204,74 @@ func (c *cleaner) walkLevel(p *des.Process, l int) {
 	})
 }
 
-// spawnCourier sends agent a from the root down the broadcast tree to
-// x, concurrently with the synchronizer's walk.
-func (c *cleaner) spawnCourier(a, x int) {
-	env := c.env
-	c.inFlight++
-	env.Sim.Spawn("courier", func(p *des.Process) {
-		env.WalkDown(p, a, x, strategy.RoleCleaner)
-		c.at[x] = append(c.at[x], a)
-		c.inFlight--
-		env.Sim.Fire(env.Signal(x))
-	})
+// arrive ends a courier trip: agent a joins node x's complement and the
+// synchronizer, if it waits there, is woken.
+func (c *cleaner) arrive(a, x int) {
+	c.at[x] = append(c.at[x], a)
+	c.env.Sim.Fire(c.env.Signal(x))
 }
 
-// spawnReturner walks agent a from leaf x back to the root pool.
-func (c *cleaner) spawnReturner(a, x int) {
+// rejoin ends a returner trip: agent a is available at the root again.
+func (c *cleaner) rejoin(a int) {
+	c.pool = append(c.pool, a)
+	c.env.Sim.Fire(&c.poolSig)
+}
+
+// walker is one courier or returner trip as an inline DES actor: each
+// step lands the pending hop and, short of the destination, draws the
+// next hop's latency and reschedules itself — the event sequence a
+// process looping over Env.Move would produce, without its goroutine.
+// Walkers are pooled on the cleaner's free list; the step closure is
+// wired once, when the pool allocates a walker.
+type walker struct {
+	des.Inline
+	c     *cleaner
+	free  *walker
+	agent int
+	at    int // the agent's node
+	hop   int // node the in-flight move lands on; == at when none
+	dst   int
+	home  bool // returner (shortest path to the root) vs courier (tree descent)
+}
+
+// walk is the production launcher: it starts a pooled walker at the
+// current time, where a freshly spawned process would start.
+func (c *cleaner) walk(a, dst int, home bool) {
+	w := c.freeWalker
+	if w == nil {
+		w = &walker{c: c}
+		w.Step = w.step
+	} else {
+		c.freeWalker = w.free
+	}
+	at, _ := c.env.B.Position(a)
+	w.agent, w.at, w.hop, w.dst, w.home = a, at, at, dst, home
+	c.env.Sim.SpawnInline(&w.Inline)
+}
+
+func (w *walker) step(s *des.Simulator) {
+	c := w.c
 	env := c.env
-	c.inFlight++
-	env.Sim.Spawn("returner", func(p *des.Process) {
-		env.WalkTo(p, a, 0, strategy.RoleCleaner)
-		c.pool = append(c.pool, a)
-		c.inFlight--
-		env.Sim.Fire(&c.poolSig)
-	})
+	if w.hop != w.at {
+		env.ApplyMove(w.agent, w.hop, strategy.RoleCleaner)
+		w.at = w.hop
+	}
+	if w.at != w.dst {
+		if w.home {
+			w.hop = env.H.NextHopToward(w.at, w.dst)
+		} else {
+			w.hop = env.BT.NextHopDown(w.at, w.dst)
+		}
+		s.AfterInline(env.MoveLatency(w.agent, w.at, w.hop, strategy.RoleCleaner), &w.Inline)
+		return
+	}
+	w.free = c.freeWalker
+	c.freeWalker = w
+	if w.home {
+		c.rejoin(w.agent)
+	} else {
+		c.arrive(w.agent, w.dst)
+	}
 }
 
 // take pops an available agent from the root pool, waiting for a
@@ -214,12 +292,6 @@ func (c *cleaner) pop(x int) int {
 	a := agents[len(agents)-1]
 	c.at[x] = agents[:len(agents)-1]
 	return a
-}
-
-// pos returns the synchronizer's current node.
-func (c *cleaner) pos() int {
-	v, _ := c.env.B.Position(c.sync)
-	return v
 }
 
 // terminateAll retires every agent after the simulation drains.

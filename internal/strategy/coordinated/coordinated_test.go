@@ -177,3 +177,37 @@ func TestCleanTraceReplays(t *testing.T) {
 		t.Error("replay disagrees with live run")
 	}
 }
+
+func TestCleanSyncTrajectoryGolden(t *testing.T) {
+	// The closed forms pin team size and agent moves only; this table
+	// pins the synchronizer's own trajectory (descend-first routing,
+	// lexicographic level walk, escorts) and the run's timing. Under
+	// unit latency the synchronizer serializes the run, so its move
+	// count is also the makespan.
+	golden := []struct {
+		d                   int
+		syncMoves, makespan int64
+	}{
+		{2, 10, 10},
+		{3, 28, 28},
+		{4, 66, 66},
+		{5, 142, 142},
+		{6, 294, 294},
+		{7, 596, 596},
+		{8, 1198, 1198},
+		{9, 2398, 2398},
+		{10, 4794, 4794},
+		{11, 9580, 9580},
+		{12, 19146, 19146},
+		{13, 38270, 38270},
+		{14, 76510, 76510},
+		{15, 152980, 152980},
+		{16, 305910, 305910},
+	}
+	for _, g := range golden {
+		r, _ := Run(g.d, strategy.Options{})
+		if r.SyncMoves != g.syncMoves || r.Makespan != g.makespan {
+			t.Errorf("d=%d: sync moves %d, makespan %d; want %d, %d", g.d, r.SyncMoves, r.Makespan, g.syncMoves, g.makespan)
+		}
+	}
+}

@@ -473,17 +473,6 @@ func (e *Env) WalkTo(p *des.Process, agent, dst int, role string) {
 	}
 }
 
-// WalkDown moves an agent from its current node down the broadcast
-// tree to its descendant dst (the same vertices BT.PathFromRoot visits
-// below the current node), without allocating the path slice.
-func (e *Env) WalkDown(p *des.Process, agent, dst int, role string) {
-	at, _ := e.B.Position(agent)
-	for at != dst {
-		at = e.BT.NextHopDown(at, dst)
-		e.Move(p, agent, at, role)
-	}
-}
-
 // RoleMoves returns the number of moves recorded for a role.
 func (e *Env) RoleMoves(role string) int64 {
 	switch role {
