@@ -30,9 +30,13 @@ race:
 	$(GO) test -race ./...
 
 # Smoke-run the fault campaign: every named scenario must pass its
-# invariant replay, and the rerun must be byte-identical.
+# invariant replay, and the rerun must be byte-identical. Then run the
+# goroutine runtime's recovery and wake-stress tests under the race
+# detector three times over: a lost targeted wakeup shows up by timing,
+# so one pass is not enough.
 faults:
 	$(GO) run ./cmd/hqfaults -verify
+	$(GO) test -race -count=3 -run 'TestCleanFT|TestVisibilityFT|WakeStress|NoLivenessGoroutines' ./internal/runtime
 
 # Wire-fault smoke: every dual-validator test under the race detector
 # — the striped validator checked event for event against the

@@ -1,6 +1,6 @@
 // Command hqfaults runs the deterministic fault-injection campaign:
-// declarative named fault scenarios executed against the
-// crash-tolerant goroutine runtimes, the discrete-event engine, and —
+// declarative named fault scenarios executed against the goroutine
+// runtime, the discrete-event engine, and —
 // with wire-level link faults — the message-passing netsim engine,
 // each checked against its fault-free baseline (runtime scenarios by
 // the trace-replay invariant verifier; netsim scenarios by the engine's
@@ -54,8 +54,8 @@ const (
 
 // Engines a scenario can run on.
 const (
-	engineCleanFT = "clean-ft"  // crash-tolerant coordinated goroutine runtime
-	engineVisFT   = "vis-ft"    // fault-injected visibility goroutine runtime
+	engineCleanFT = "clean-ft"  // coordinated goroutine runtime with crash recovery
+	engineVisFT   = "vis-ft"    // visibility goroutine runtime under timing faults
 	engineDES     = "des-clean" // discrete-event CLEAN with kernel interception
 )
 
@@ -78,8 +78,9 @@ func campaign() []scenario {
 			}}
 		}},
 		{"synchronizer-crash", engineCleanFT, func(d int) *faults.Plan {
-			// The d=2 synchronizer makes only 4 moves, so the trigger
-			// must scale with the cube: 2d-1 fires at every d >= 2.
+			// Phase 0 is d escort round trips, 2d synchronizer moves
+			// (10 moves in all at d=2), so 2d-1 fires on the last
+			// outbound escort step at every d >= 2.
 			return &faults.Plan{Name: "synchronizer-crash", Seed: 102, Faults: []faults.Fault{
 				{Kind: faults.Crash, Target: faults.TargetSync, At: 2*d - 1},
 			}}
@@ -168,11 +169,11 @@ func checkLog(l *trace.Log, d int) string {
 	return "ok"
 }
 
-func runFT(d int, engine string, plan *faults.Plan) (runtime.FTReport, error) {
+func runFT(d int, engine string, plan *faults.Plan) (runtime.Report, error) {
 	if engine == engineVisFT {
-		return runtime.RunVisibilityFT(d, ftConfig(7, plan))
+		return runtime.RunVisibility(d, ftConfig(7, plan))
 	}
-	return runtime.RunCleanFT(d, ftConfig(7, plan))
+	return runtime.RunClean(d, ftConfig(7, plan))
 }
 
 func runDES(d int, plan *faults.Plan) (metrics.Result, *strategy.Env, error) {

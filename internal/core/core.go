@@ -159,7 +159,7 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 			return metrics.Result{}, nil, fmt.Errorf("core: plan %q: the %s strategy advances in lockstep unit-latency rounds and takes no fault plan", spec.Faults.Name, Synchronous)
 		}
 		if spec.Faults.RequiresRecovery() {
-			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries crash faults, which need the crash-tolerant goroutine runtime (runtime.RunCleanFT/RunVisibilityFT)", spec.Faults.Name)
+			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries crash faults, which need the goroutine runtime's crash recovery (runtime.RunClean)", spec.Faults.Name)
 		}
 		if spec.Faults.HasLinkFaults() {
 			return metrics.Result{}, nil, fmt.Errorf("core: plan %q carries link faults, which need the network engine", spec.Faults.Name)
@@ -201,18 +201,21 @@ func runDES(spec Spec, src strategy.Source) (metrics.Result, *strategy.Env, erro
 
 func runGoroutines(spec Spec) (metrics.Result, *strategy.Env, error) {
 	if spec.Faults != nil {
-		return metrics.Result{}, nil, fmt.Errorf("core: fault plans on the goroutine engine go through runtime.RunCleanFT/RunVisibilityFT, not Spec.Faults")
+		return metrics.Result{}, nil, fmt.Errorf("core: fault plans on the goroutine engine go through runtime.RunClean/RunVisibility, not Spec.Faults")
 	}
 	cfg := runtime.Config{
 		Seed:       spec.Seed,
 		MaxLatency: time.Duration(spec.AdversarialLatency) * time.Microsecond,
 	}
+	var run func(int, runtime.Config) (runtime.Report, error)
 	switch spec.Strategy {
 	case Clean:
-		return runtime.RunClean(spec.Dim, cfg), nil, nil
+		run = runtime.RunClean
 	case Visibility:
-		return runtime.RunVisibility(spec.Dim, cfg), nil, nil
+		run = runtime.RunVisibility
 	default:
 		return metrics.Result{}, nil, fmt.Errorf("core: strategy %q has no goroutine engine", spec.Strategy)
 	}
+	rep, err := run(spec.Dim, cfg)
+	return rep.Result, nil, err
 }

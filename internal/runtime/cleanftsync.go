@@ -60,7 +60,7 @@ func (w *ftWorld) syncProgram(id int, rng *rand.Rand) {
 	}
 	w.mu.Lock()
 	w.doneFlag = true
-	w.cond.Broadcast()
+	w.wakeAllLocked()
 	w.mu.Unlock()
 	w.finish(id)
 }
@@ -70,11 +70,7 @@ func (w *ftWorld) syncProgram(id int, rng *rand.Rand) {
 func (w *ftWorld) execStep(id int, st ftStep, rng *rand.Rand) bool {
 	switch st.kind {
 	case stepEscort0:
-		// The synchronizer observes phase 0 from the root; the cleaner
-		// crosses alone (the strictly-safer concurrent interleaving, as
-		// in the plain goroutine engine).
-		key := fmt.Sprintf("p0.e%d", st.idx)
-		return w.issueAndAwait(id, key, st.node, fromPool)
+		return w.escort(id, fmt.Sprintf("p0.e%d", st.idx), 0, st.node, fromPool, rng)
 
 	case stepDispatch:
 		if !w.syncWalkTo(id, 0, rng) {
@@ -140,11 +136,24 @@ func (w *ftWorld) execNodeStep(id int, st ftStep, rng *rand.Rand) bool {
 	w.mu.Unlock()
 	for j, child := range w.bt.Children(x) {
 		key := fmt.Sprintf("w%d.x%d.e%d", st.level, x, j)
-		if !w.issueAndAwait(id, key, child, fromNode(x)) {
+		if !w.escort(id, key, x, child, fromNode(x), rng) {
 			return false
 		}
 	}
 	return true
+}
+
+// escort sends one cleaner across the tree edge from→child and, once
+// it has landed, walks the synchronizer to child and back: the paper's
+// synchronizer guides every crossing, so each escort costs it the same
+// round trip as in the discrete-event engine. The cleaner crossing
+// first is the strictly safer concurrent interleaving — child is
+// guarded before the synchronizer steps onto it. A replayed step
+// repeats the round trip.
+func (w *ftWorld) escort(id int, key string, from, child int, pick picker, rng *rand.Rand) bool {
+	return w.issueAndAwait(id, key, child, pick) &&
+		w.syncWalkTo(id, child, rng) &&
+		w.syncWalkTo(id, from, rng)
 }
 
 // Assignee pickers for issueAndAwait. They run under w.mu.
@@ -188,20 +197,5 @@ func (w *ftWorld) issueAndAwait(id int, key string, dst int, pick picker) bool {
 // clear-bits-first shortest path, which stays inside the already-clean
 // region. Returns false on an injected crash or fencing.
 func (w *ftWorld) syncWalkTo(id, dst int, rng *rand.Rand) bool {
-	w.mu.Lock()
-	pos, _ := w.b.Position(id)
-	w.mu.Unlock()
-	for _, v := range w.h.ShortestPath(pos, dst)[1:] {
-		act := w.action(faults.MoveCtx{Agent: id, Sync: true})
-		if act.Crash {
-			w.noteCrash(id)
-			return false
-		}
-		w.sleepUnits(act.Delay)
-		sleepLatency(rng, w.cfg.MaxLatency)
-		if !w.applyMove(id, v, act.Hold, true, "synchronizer") {
-			return false
-		}
-	}
-	return true
+	return w.walk(id, dst, false, faults.MoveCtx{Agent: id, Sync: true}, rng)
 }

@@ -5,17 +5,23 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
-	"hypersearch/internal/metrics"
 	"hypersearch/internal/trace"
 	"hypersearch/internal/whiteboard"
 )
 
-// CleanFTName identifies the crash-tolerant coordinated run in results.
-const CleanFTName = "clean-ft-goroutines"
+// CleanName identifies the concurrent coordinated run in results.
+const CleanName = "clean-goroutines"
+
+// fieldSync is the root-whiteboard field agents race on to elect the
+// synchronizer: "the first that gains access will become the
+// synchronizer" — realized as a compare-and-swap under the
+// whiteboard's mutual exclusion.
+const fieldSync = "synchronizer"
 
 // Whiteboard fields of the recovery protocol, all on the homebase
 // board (the root is clean from the start and every agent can reach
@@ -26,17 +32,17 @@ const (
 	fieldEpoch = "sync.epoch." // re-election CAS field, one per epoch
 	fieldLease = "lease."      // per-agent heartbeat counter
 	fieldFence = "fence."      // set once the watchdog declares an agent dead
-	fieldOrder = "ord."        // per-order destination / completion mirror
+	fieldOrder = "ord."        // per-order mirror: 2*destination + completed
 )
 
 // Field names for the per-agent and per-order dynamic fields. The
 // per-agent lease/fence fields are interned once in initAgents and the
 // per-order fields once at issue time, so the heartbeat, watchdog and
 // walk loops never hash a field name.
-func leaseField(id int) string      { return fmt.Sprintf("%s%d", fieldLease, id) }
-func fenceField(id int) string      { return fmt.Sprintf("%s%d", fieldFence, id) }
-func epochField(e int64) string     { return fmt.Sprintf("%s%d", fieldEpoch, e) }
-func orderField(k, f string) string { return fieldOrder + k + "." + f }
+func leaseField(id int) string   { return fmt.Sprintf("%s%d", fieldLease, id) }
+func fenceField(id int) string   { return fmt.Sprintf("%s%d", fieldFence, id) }
+func epochField(e int64) string  { return fmt.Sprintf("%s%d", fieldEpoch, e) }
+func orderField(k string) string { return fieldOrder + k }
 
 // ftOrder is one ledger entry: a walk some agent owes the search. The
 // destination plus the walker's board position fully determine the
@@ -50,88 +56,21 @@ type ftOrder struct {
 	register bool // true: report to at[dst]; false: walk home to the pool
 	done     bool
 
-	doneF whiteboard.Field // interned "ord.<key>.done" mirror field
-}
-
-// FTReport is the outcome of a fault-tolerant run.
-type FTReport struct {
-	Result metrics.Result
-	Log    *trace.Log // nil unless Config.Record
-
-	Team        int // paper team size
-	Spares      int // extra agents provisioned for recovery
-	Crashes     int // injected crashes that fired
-	Reassigned  int // orders re-executed by a spare
-	Reelections int // synchronizer CAS re-elections
-	SparesUsed  int // spares drafted into service
-}
-
-// ftWorld extends the shared world with the recovery protocol's
-// replicated state: the order ledger, per-node agent registry, root
-// pool, spare pool, fencing flags, and the synchronizer epoch. All of
-// it is guarded by the world mutex; the homebase whiteboard mirrors
-// the durable fields (leases, checkpoint, order records, fences) that
-// the paper's model would store on node whiteboards.
-type ftWorld struct {
-	*world
-	cfg Config
-	inj *faults.Injector
-	log *trace.Log
-
-	step int64 // logical clock: one tick per board action
-
-	inbox  [][]string
-	ledger map[string]*ftOrder
-	at     map[int][]int
-	pool   []int
-	spares []int
-
-	dead   []bool // fenced by the watchdog
-	exited []bool // returned cleanly (lease no longer monitored)
-
-	fLease []whiteboard.Field // per-agent heartbeat fields, interned in initAgents
-	fFence []whiteboard.Field // per-agent fence fields, interned in initAgents
-
-	syncID   int
-	epoch    int64
-	needSync bool
-	doneFlag bool
-
-	hbQuit []chan struct{}
-	hbOnce []sync.Once
-
-	crashes     int
-	reassigned  int
-	reelections int
-	sparesUsed  int
-}
-
-func newFTWorld(d int, cfg Config, inj *faults.Injector) *ftWorld {
-	w := &ftWorld{
-		world:  newWorld(d),
-		cfg:    cfg,
-		inj:    inj,
-		ledger: map[string]*ftOrder{},
-		at:     map[int][]int{},
-		syncID: -1,
-	}
-	if cfg.Record {
-		w.log = &trace.Log{}
-	}
-	return w
+	field whiteboard.Field // interned "ord.<key>" mirror field
 }
 
 // initAgents places total agents on the homebase (recording the trace)
 // and splits them into the working pool (0..team-1) and spares.
 func (w *ftWorld) initAgents(total, team int) {
+	w.conds = make([]sync.Cond, total)
 	w.inbox = make([][]string, total)
 	w.dead = make([]bool, total)
 	w.exited = make([]bool, total)
-	w.hbQuit = make([]chan struct{}, total)
-	w.hbOnce = make([]sync.Once, total)
+	w.hbStop = make([]atomic.Bool, total)
 	w.fLease = make([]whiteboard.Field, total)
 	w.fFence = make([]whiteboard.Field, total)
 	for i := 0; i < total; i++ {
+		w.conds[i].L = &w.mu
 		w.fLease[i] = w.wb.Field(leaseField(i))
 		w.fFence[i] = w.wb.Field(fenceField(i))
 	}
@@ -140,7 +79,6 @@ func (w *ftWorld) initAgents(total, team int) {
 		id := w.b.Place(w.step)
 		w.record(trace.Event{Time: w.step, Kind: trace.Place, Agent: id, To: 0, Role: roleFor(i, team)})
 		w.step++
-		w.hbQuit[i] = make(chan struct{})
 		if i < team {
 			w.pool = append(w.pool, id)
 		} else {
@@ -178,20 +116,12 @@ func (w *ftWorld) sleepUnits(units int64) {
 	}
 }
 
-// broadcastLocked wakes every waiter unless the injector swallows the
-// wakeup (the watchdog's periodic re-broadcast keeps the run live).
-func (w *ftWorld) broadcastLocked() {
-	if w.inj != nil && w.inj.DropWakeup() {
-		return
-	}
-	w.cond.Broadcast()
-}
-
 // applyMove performs one fenced, traced board move. A positive hold
 // simulates whiteboard lock starvation: the mutex is held for that
-// long with every other agent shut out. Returns false when the agent
-// was fenced by the watchdog and must stop acting.
-func (w *ftWorld) applyMove(id, to int, hold int64, sync bool, role string) bool {
+// long with every other agent shut out. No CLEAN wait reads the board,
+// so the move wakes nobody. Returns false when the agent was fenced by
+// the watchdog and must stop acting.
+func (w *ftWorld) applyMove(id, to int, hold int64, sync bool) bool {
 	w.mu.Lock()
 	if w.dead[id] {
 		w.mu.Unlock()
@@ -199,15 +129,16 @@ func (w *ftWorld) applyMove(id, to int, hold int64, sync bool, role string) bool
 	}
 	from, _ := w.b.Position(id)
 	w.b.Move(id, to, w.step)
+	role := "cleaner"
 	if sync {
 		w.syncMoves++
+		role = "synchronizer"
 	}
 	w.record(trace.Event{Time: w.step, Kind: trace.Move, Agent: id, From: from, To: to, Role: role})
 	w.step++
 	if hold > 0 && w.cfg.FaultUnit > 0 {
 		time.Sleep(time.Duration(hold) * w.cfg.FaultUnit)
 	}
-	w.broadcastLocked()
 	w.mu.Unlock()
 	return true
 }
@@ -222,7 +153,7 @@ func (w *ftWorld) awaitLocked(id int, cond func() bool) bool {
 		if cond() {
 			return true
 		}
-		w.cond.Wait()
+		w.conds[id].Wait()
 	}
 }
 
@@ -236,9 +167,7 @@ func (w *ftWorld) noteCrash(id int) {
 	w.mu.Unlock()
 }
 
-func (w *ftWorld) stopHeartbeat(id int) {
-	w.hbOnce[id].Do(func() { close(w.hbQuit[id]) })
-}
+func (w *ftWorld) stopHeartbeat(id int) { w.hbStop[id].Store(true) }
 
 // finish marks a clean exit: the lease stops being monitored.
 func (w *ftWorld) finish(id int) {
@@ -248,52 +177,46 @@ func (w *ftWorld) finish(id int) {
 	w.stopHeartbeat(id)
 }
 
-// heartbeat renews the agent's lease on the homebase whiteboard. It
-// runs on its own goroutine so a stalled (but live) agent is never
-// mistaken for a crashed one — liveness and progress are separate.
-func (w *ftWorld) heartbeat(id int) {
-	t := time.NewTicker(w.cfg.HeartbeatEvery)
-	defer t.Stop()
-	var n int64
-	for {
-		select {
-		case <-w.hbQuit[id]:
-			return
-		case <-t.C:
+// startLiveness starts one heartbeat per agent and the watchdog. A
+// heartbeat renews its agent's lease on the homebase whiteboard from
+// its own goroutine, so a stalled (but live) agent is never mistaken
+// for a crashed one — liveness and progress are separate.
+func (w *ftWorld) startLiveness(total int) {
+	for id := 0; id < total; id++ {
+		var n int64
+		w.goLive(func() bool {
+			if w.hbStop[id].Load() {
+				return false
+			}
 			n++
 			w.wb.At(0).Write(w.fLease[id], n)
-		}
+			return true
+		})
 	}
+	w.goLive(w.watchdog())
 }
 
-// watchdog samples every lease each heartbeat period and declares an
-// agent dead once its lease has been silent for LeaseTTL. It also
-// re-broadcasts the world condition every tick, healing any wakeups
-// the fault injector swallowed.
-func (w *ftWorld) watchdog(quit chan struct{}) {
+// watchdog returns the watchdog's tick: it samples every lease and
+// declares an agent dead once its lease has been silent for LeaseTTL.
+// Every tick also wakes every agent, healing any wakeups the fault
+// injector swallowed.
+func (w *ftWorld) watchdog() func() bool {
 	type lease struct {
 		val   int64
 		since time.Time
 	}
-	seen := make([]lease, len(w.hbQuit))
+	seen := make([]lease, len(w.hbStop))
 	start := time.Now()
 	for i := range seen {
 		seen[i].since = start
 	}
-	t := time.NewTicker(w.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		case <-t.C:
-		}
+	return func() bool {
 		w.mu.Lock()
 		done := w.doneFlag
-		w.cond.Broadcast()
+		w.wakeAllLocked()
 		w.mu.Unlock()
 		if done {
-			return
+			return false
 		}
 		now := time.Now()
 		for id := range seen {
@@ -306,6 +229,7 @@ func (w *ftWorld) watchdog(quit chan struct{}) {
 				w.declareDead(id)
 			}
 		}
+		return true
 	}
 }
 
@@ -344,7 +268,7 @@ func (w *ftWorld) declareDead(id int) {
 			w.reassigned++
 		}
 	}
-	w.cond.Broadcast()
+	w.wakeAllLocked()
 }
 
 func (w *ftWorld) takeSpareLocked() int {
@@ -406,78 +330,80 @@ func (w *ftWorld) popLiveAtLocked(x int) int {
 }
 
 // issueLocked records an order on the ledger (mirrored to the homebase
-// whiteboard) and posts it to the assignee's inbox. An assignee of -1
-// records a vacuously complete order — the work is moot, e.g. a dead
-// leaf agent that stays behind as a permanent guard.
+// whiteboard), posts it to the assignee's inbox and wakes the assignee.
+// An assignee of -1 records a vacuously complete order — the work is
+// moot, e.g. a dead leaf agent that stays behind as a permanent guard.
 func (w *ftWorld) issueLocked(key string, assignee, dst int, register bool) *ftOrder {
 	ord := &ftOrder{key: key, assignee: assignee, dst: dst, register: register}
-	ord.doneF = w.wb.Field(orderField(key, "done"))
+	ord.field = w.wb.Field(orderField(key))
 	w.ledger[key] = ord
-	w.wb.At(0).Write(w.wb.Field(orderField(key, "dst")), int64(dst))
+	w.wb.At(0).Write(ord.field, 2*int64(dst))
 	if assignee < 0 {
-		ord.done = true
-		w.wb.At(0).Write(ord.doneF, 1)
+		w.completeLocked(ord)
 	} else {
 		w.inbox[assignee] = append(w.inbox[assignee], key)
 	}
-	w.broadcastLocked()
+	w.signalLocked(assignee)
 	return ord
 }
 
 // execute walks one order. The remaining path is reconstructed from
 // the agent's current position and the order's destination: outbound
-// orders follow the broadcast-tree path from the root (of which the
-// walker's position is always a prefix node — spares start at the
-// root, escorted cleaners at the destination's parent), homeward
-// orders the clear-bits-first shortest path. Returns false if the
-// agent crashed or was fenced mid-walk.
+// orders descend the broadcast tree (the walker's position is always
+// an ancestor of the destination — spares start at the root, escorted
+// cleaners at the destination's parent), homeward orders follow the
+// clear-bits-first shortest path. Completion wakes the synchronizer,
+// the only agent that waits on orders, the pool and node complements.
+// Returns false if the agent crashed or was fenced mid-walk.
 func (w *ftWorld) execute(id int, ord *ftOrder, rng *rand.Rand) bool {
+	if !w.walk(id, ord.dst, ord.register, faults.MoveCtx{Agent: id, OrderKey: ord.key}, rng) {
+		return false
+	}
+	w.mu.Lock()
+	w.completeLocked(ord)
+	if ord.register {
+		w.at[ord.dst] = append(w.at[ord.dst], id)
+	} else {
+		w.pool = append(w.pool, id)
+	}
+	w.signalLocked(w.syncID)
+	w.mu.Unlock()
+	return true
+}
+
+// completeLocked marks ord done on the ledger and its mirror.
+func (w *ftWorld) completeLocked(ord *ftOrder) {
+	ord.done = true
+	w.wb.At(0).Write(ord.field, 2*int64(ord.dst)+1)
+}
+
+// walk moves agent id hop by hop to dst: down the broadcast tree when
+// tree is set, otherwise along the clear-bits-first shortest path,
+// which stays inside the already-clean region. Each hop consults the
+// injector with ctx first. Returns false on an injected crash or
+// fencing.
+func (w *ftWorld) walk(id, dst int, tree bool, ctx faults.MoveCtx, rng *rand.Rand) bool {
 	w.mu.Lock()
 	pos, _ := w.b.Position(id)
 	w.mu.Unlock()
-	var path []int
-	if ord.register {
-		tp := w.bt.PathFromRoot(ord.dst)
-		i := indexOf(tp, pos)
-		if i < 0 {
-			panic(fmt.Sprintf("runtime: agent %d at %d is off the tree path to %d (order %s)", id, pos, ord.dst, ord.key))
+	for pos != dst {
+		next := w.h.NextHopToward(pos, dst)
+		if tree {
+			next = w.bt.NextHopDown(pos, dst)
 		}
-		path = tp[i:]
-	} else {
-		path = w.h.ShortestPath(pos, ord.dst)
-	}
-	for _, v := range path[1:] {
-		act := w.action(faults.MoveCtx{Agent: id, OrderKey: ord.key})
+		act := w.action(ctx)
 		if act.Crash {
 			w.noteCrash(id)
 			return false
 		}
 		w.sleepUnits(act.Delay)
 		sleepLatency(rng, w.cfg.MaxLatency)
-		if !w.applyMove(id, v, act.Hold, false, "cleaner") {
+		if !w.applyMove(id, next, act.Hold, ctx.Sync) {
 			return false
 		}
+		pos = next
 	}
-	w.mu.Lock()
-	ord.done = true
-	w.wb.At(0).Write(ord.doneF, 1)
-	if ord.register {
-		w.at[ord.dst] = append(w.at[ord.dst], id)
-	} else {
-		w.pool = append(w.pool, id)
-	}
-	w.broadcastLocked()
-	w.mu.Unlock()
 	return true
-}
-
-func indexOf(path []int, v int) int {
-	for i, p := range path {
-		if p == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // workerLoop is the local program of every non-synchronizer agent:
@@ -512,20 +438,20 @@ func (w *ftWorld) workerLoop(id int, spare bool, rng *rand.Rand) {
 				w.sparesUsed++
 				w.reelections++
 				w.wb.At(0).Write(w.fOwner, int64(id)+1)
-				w.cond.Broadcast()
+				w.wakeAllLocked()
 				w.mu.Unlock()
 				w.syncProgram(id, rng)
 				return
 			}
 			for w.needSync && w.epoch == e && !w.dead[id] {
-				w.cond.Wait()
+				w.conds[id].Wait()
 			}
 		case w.doneFlag:
 			w.mu.Unlock()
 			w.finish(id)
 			return
 		default:
-			w.cond.Wait()
+			w.conds[id].Wait()
 		}
 	}
 }
@@ -576,37 +502,26 @@ func (w *ftWorld) terminateAllLocked() {
 	}
 }
 
-func (w *ftWorld) report(name string, team, spares int) FTReport {
-	res := w.result(name, team+spares)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return FTReport{
-		Result:      res,
-		Log:         w.log,
-		Team:        team,
-		Spares:      spares,
-		Crashes:     w.crashes,
-		Reassigned:  w.reassigned,
-		Reelections: w.reelections,
-		SparesUsed:  w.sparesUsed,
-	}
-}
-
-// RunCleanFT executes Algorithm CLEAN on the crash-tolerant goroutine
-// runtime: the team races a whiteboard CAS election, the winner runs
-// the checkpointed synchronizer program, every agent maintains a lease
-// the watchdog monitors, and cfg.Faults injects deterministic
-// adversity. A crashed cleaner's walk is reconstructed from the order
-// ledger and reassigned to a spare; a crashed synchronizer triggers a
-// CAS re-election among the spares, and the winner resumes from the
-// whiteboard checkpoint. The search completes with the surviving team
-// as long as spares cover the crashes.
-func RunCleanFT(d int, cfg Config) (FTReport, error) {
+// RunClean executes Algorithm CLEAN with one goroutine per agent: the
+// team races a whiteboard CAS election, the winner runs the
+// checkpointed synchronizer program, and the rest serve the orders it
+// posts. The synchronizer guides every escorted crossing with its own
+// round trip, so a fault-free run spends exactly the moves of the
+// discrete-event engine.
+//
+// cfg.Faults injects deterministic adversity and switches on recovery:
+// every agent then maintains a lease the watchdog monitors, a crashed
+// cleaner's walk is reconstructed from the order ledger and reassigned
+// to a spare, and a crashed synchronizer triggers a CAS re-election
+// among the spares, whose winner resumes from the whiteboard
+// checkpoint. The search completes with the surviving team as long as
+// spares cover the crashes.
+func RunClean(d int, cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	var inj *faults.Injector
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
-			return FTReport{}, err
+			return Report{}, err
 		}
 		inj = faults.NewInjector(cfg.Faults)
 	}
@@ -619,35 +534,13 @@ func RunCleanFT(d int, cfg Config) (FTReport, error) {
 	total := team + spares
 	w.initAgents(total, team)
 
-	if d == 0 {
-		w.mu.Lock()
-		w.terminateAllLocked()
-		w.mu.Unlock()
-		return w.report(CleanFTName, team, spares), nil
+	if d > 0 {
+		if inj != nil {
+			w.startLiveness(total)
+		}
+		w.runAgents(total, func(id int, rng *rand.Rand) { w.agentMain(id, id >= team, rng) })
 	}
-
-	wdQuit := make(chan struct{})
-	go w.watchdog(wdQuit)
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		go w.heartbeat(i)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i))))
-			w.agentMain(i, i >= team, rng)
-		}(i)
-	}
-	wg.Wait()
-	close(wdQuit)
-	for i := 0; i < total; i++ {
-		w.stopHeartbeat(i)
-	}
-
-	w.mu.Lock()
-	w.terminateAllLocked()
-	w.mu.Unlock()
-	return w.report(CleanFTName, team, spares), nil
+	return w.report(CleanName, team, spares), nil
 }
 
 // agentMain races the initial election (workers only — spares stay in

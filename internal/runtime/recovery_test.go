@@ -4,9 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
 	"hypersearch/internal/hypercube"
 	"hypersearch/internal/invariant"
+	"hypersearch/internal/strategy"
+	"hypersearch/internal/strategy/coordinated"
 )
 
 // Fast watchdog knobs for tests: crash detection costs one TTL, so the
@@ -24,7 +27,7 @@ func testCfg(seed int64, plan *faults.Plan) Config {
 	}
 }
 
-func checkTrace(t *testing.T, rep FTReport, d int) {
+func checkTrace(t *testing.T, rep Report, d int) {
 	t.Helper()
 	if rep.Log == nil {
 		t.Fatal("Record was set but the report carries no trace")
@@ -38,12 +41,13 @@ func checkTrace(t *testing.T, rep FTReport, d int) {
 	}
 }
 
-// A fault-free FT run must complete the search with exactly the plain
-// concurrent runtime's cleaner traffic: the recovery machinery (leases,
-// watchdog, ledger) may cost time, never moves.
+// A fault-free run must complete the search with exactly the
+// discrete-event engine's traffic, cleaner and synchronizer alike: the
+// synchronizer's escort round trips are the paper's, and the recovery
+// machinery (ledger, checkpoints) may cost time, never moves.
 func TestCleanFTFaultFreeParity(t *testing.T) {
-	for d := 0; d <= 4; d++ {
-		rep, err := RunCleanFT(d, testCfg(11, nil))
+	for d := 0; d <= 8; d++ {
+		rep, err := RunClean(d, testCfg(11, nil))
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -53,13 +57,12 @@ func TestCleanFTFaultFreeParity(t *testing.T) {
 		if rep.Crashes != 0 || rep.Reassigned != 0 || rep.Reelections != 0 || rep.SparesUsed != 0 {
 			t.Fatalf("d=%d: fault-free run reports recovery activity: %+v", d, rep)
 		}
-		plain := RunClean(d, Config{Seed: 11, MaxLatency: 100 * time.Microsecond})
-		if rep.Result.AgentMoves != plain.AgentMoves {
-			t.Errorf("d=%d: FT cleaner moves %d, plain runtime %d", d, rep.Result.AgentMoves, plain.AgentMoves)
+		des, _ := coordinated.Run(d, strategy.Options{})
+		if rep.Result.AgentMoves != des.AgentMoves {
+			t.Errorf("d=%d: cleaner moves %d, DES %d", d, rep.Result.AgentMoves, des.AgentMoves)
 		}
-		// d <= 1 has no level walks, so the synchronizer never moves.
-		if d >= 2 && rep.Result.SyncMoves == 0 {
-			t.Errorf("d=%d: synchronizer made no moves", d)
+		if rep.Result.SyncMoves != des.SyncMoves {
+			t.Errorf("d=%d: synchronizer moves %d, DES %d", d, rep.Result.SyncMoves, des.SyncMoves)
 		}
 		checkTrace(t, rep, d)
 	}
@@ -71,7 +74,7 @@ func TestCleanFTCleanerCrashRecovery(t *testing.T) {
 	plan := &faults.Plan{Name: "cleaner-crash", Seed: 7, Faults: []faults.Fault{
 		{Kind: faults.Crash, Target: "order:p0.e1", At: 1},
 	}}
-	rep, err := RunCleanFT(3, testCfg(7, plan))
+	rep, err := RunClean(3, testCfg(7, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestCleanFTSynchronizerReelection(t *testing.T) {
 	plan := &faults.Plan{Name: "sync-crash", Seed: 7, Faults: []faults.Fault{
 		{Kind: faults.Crash, Target: faults.TargetSync, At: 5},
 	}}
-	rep, err := RunCleanFT(3, testCfg(7, plan))
+	rep, err := RunClean(3, testCfg(7, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +118,11 @@ func TestCleanFTDelayFaultsMovePreserving(t *testing.T) {
 		{Kind: faults.LockStarve, Target: faults.TargetAny, At: 8, Delay: 30},
 		{Kind: faults.LostWakeup, At: 2, Until: 20},
 	}}
-	faulted, err := RunCleanFT(3, testCfg(3, plan))
+	faulted, err := RunClean(3, testCfg(3, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := RunCleanFT(3, testCfg(3, nil))
+	clean, err := RunClean(3, testCfg(3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestCleanFTDeterministicReruns(t *testing.T) {
 	}
 	var runs []fingerprint
 	for i := 0; i < 3; i++ {
-		rep, err := RunCleanFT(3, testCfg(5, plan))
+		rep, err := RunClean(3, testCfg(5, plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,33 +175,32 @@ func TestCleanFTDeterministicReruns(t *testing.T) {
 }
 
 // Crash plans must be rejected by engines that cannot recover from
-// them, with an error pointing at the crash-tolerant runtime.
+// them, with an error pointing at the coordinated runtime.
 func TestVisibilityFTRejectsCrashPlans(t *testing.T) {
 	plan := &faults.Plan{Seed: 1, Faults: []faults.Fault{
 		{Kind: faults.Crash, Target: faults.TargetSync, At: 1},
 	}}
-	if _, err := RunVisibilityFT(3, testCfg(1, plan)); err == nil {
-		t.Fatal("RunVisibilityFT accepted a crash plan")
+	if _, err := RunVisibility(3, testCfg(1, plan)); err == nil {
+		t.Fatal("RunVisibility accepted a crash plan")
 	}
 }
 
 // The visibility runtime under a barrage of lost wakeups must still
-// finish (the re-broadcaster heals liveness) with exactly the plain
-// visibility run's traffic.
+// finish (the re-broadcaster heals liveness) with exactly the paper's
+// traffic.
 func TestVisibilityFTLostWakeups(t *testing.T) {
 	plan := &faults.Plan{Name: "lost-wakeups", Seed: 9, Faults: []faults.Fault{
 		{Kind: faults.LostWakeup, At: 1, Until: 100},
 	}}
-	rep, err := RunVisibilityFT(3, testCfg(9, plan))
+	rep, err := RunVisibility(3, testCfg(9, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Result.Ok() {
 		t.Fatalf("run failed: %+v", rep.Result)
 	}
-	plain := RunVisibility(3, Config{Seed: 9, MaxLatency: 100 * time.Microsecond})
-	if rep.Result.AgentMoves != plain.AgentMoves {
-		t.Errorf("lost wakeups changed the move count: %d vs %d", rep.Result.AgentMoves, plain.AgentMoves)
+	if rep.Result.AgentMoves != combin.VisibilityMoves(3) {
+		t.Errorf("lost wakeups changed the move count: %d vs %d", rep.Result.AgentMoves, combin.VisibilityMoves(3))
 	}
 	checkTrace(t, rep, 3)
 }

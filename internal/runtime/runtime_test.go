@@ -5,11 +5,22 @@ import (
 	"time"
 
 	"hypersearch/internal/combin"
+	"hypersearch/internal/metrics"
 )
+
+// result runs one fault-free execution and returns its summary.
+func result(t *testing.T, run func(int, Config) (Report, error), d int, cfg Config) metrics.Result {
+	t.Helper()
+	rep, err := run(d, cfg)
+	if err != nil {
+		t.Fatalf("d=%d: %v", d, err)
+	}
+	return rep.Result
+}
 
 func TestRunVisibilityCorrectUnderConcurrency(t *testing.T) {
 	for d := 0; d <= 7; d++ {
-		r := RunVisibility(d, Config{Seed: int64(d), MaxLatency: 50 * time.Microsecond})
+		r := result(t, RunVisibility, d, Config{Seed: int64(d), MaxLatency: 50 * time.Microsecond})
 		if !r.Captured || !r.MonotoneOK || !r.ContiguousOK {
 			t.Errorf("d=%d: %s", d, r.String())
 		}
@@ -28,7 +39,7 @@ func TestRunVisibilityCorrectUnderConcurrency(t *testing.T) {
 func TestRunVisibilityManySeeds(t *testing.T) {
 	// The schedule changes with the seed; the outcome must not.
 	for seed := int64(0); seed < 20; seed++ {
-		r := RunVisibility(5, Config{Seed: seed, MaxLatency: 20 * time.Microsecond})
+		r := result(t, RunVisibility, 5, Config{Seed: seed, MaxLatency: 20 * time.Microsecond})
 		if !r.Ok() || r.TotalMoves != combin.VisibilityMoves(5) {
 			t.Errorf("seed %d: %s", seed, r.String())
 		}
@@ -37,7 +48,7 @@ func TestRunVisibilityManySeeds(t *testing.T) {
 
 func TestRunVisibilityZeroLatency(t *testing.T) {
 	// MaxLatency 0 disables sleeping entirely: maximum contention.
-	r := RunVisibility(6, Config{})
+	r := result(t, RunVisibility, 6, Config{})
 	if !r.Ok() {
 		t.Errorf("%s", r.String())
 	}
@@ -45,7 +56,7 @@ func TestRunVisibilityZeroLatency(t *testing.T) {
 
 func TestRunCleanCorrectUnderConcurrency(t *testing.T) {
 	for d := 0; d <= 6; d++ {
-		r := RunClean(d, Config{Seed: 100 + int64(d), MaxLatency: 50 * time.Microsecond})
+		r := result(t, RunClean, d, Config{Seed: 100 + int64(d), MaxLatency: 50 * time.Microsecond})
 		if !r.Captured || !r.MonotoneOK || !r.ContiguousOK {
 			t.Errorf("d=%d: %s", d, r.String())
 		}
@@ -60,7 +71,7 @@ func TestRunCleanCorrectUnderConcurrency(t *testing.T) {
 
 func TestRunCleanManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		r := RunClean(4, Config{Seed: seed, MaxLatency: 30 * time.Microsecond})
+		r := result(t, RunClean, 4, Config{Seed: seed, MaxLatency: 30 * time.Microsecond})
 		if !r.Ok() {
 			t.Errorf("seed %d: %s", seed, r.String())
 		}
@@ -78,11 +89,11 @@ func TestRuntimeMatchesDESCosts(t *testing.T) {
 	// the discrete-event reference for every seed (the schedules differ
 	// in time only).
 	const d = 6
-	r := RunVisibility(d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
+	r := result(t, RunVisibility, d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
 	if r.TotalMoves != combin.VisibilityMoves(d) {
 		t.Errorf("visibility moves %d, want %d", r.TotalMoves, combin.VisibilityMoves(d))
 	}
-	rc := RunClean(d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
+	rc := result(t, RunClean, d, Config{Seed: 9, MaxLatency: 10 * time.Microsecond})
 	if rc.AgentMoves != combin.CleanAgentMoves(d)-int64(d) {
 		t.Errorf("clean agent moves %d", rc.AgentMoves)
 	}

@@ -3,33 +3,50 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
+	"hypersearch/internal/board"
 	"hypersearch/internal/combin"
 	"hypersearch/internal/faults"
 	"hypersearch/internal/heapqueue"
 	"hypersearch/internal/trace"
 )
 
-// VisibilityFTName identifies the fault-injected visibility run.
-const VisibilityFTName = "visibility-ft-goroutines"
+// VisibilityName identifies the concurrent visibility run in results.
+const VisibilityName = "visibility-goroutines"
 
-// RunVisibilityFT executes CLEAN WITH VISIBILITY under fault
-// injection: stalls, latency spikes, whiteboard lock starvation, and
-// lost visibility wakeups (healed by the periodic re-broadcaster, the
-// visibility model's watchdog). Crash faults are rejected: the local
-// rule has no order ledger to reconstruct a dead agent's duty from, so
-// crash recovery is the coordinated runtime's province.
-func RunVisibilityFT(d int, cfg Config) (FTReport, error) {
+// whiteboard field names used by the visibility agents.
+const (
+	fieldAgents  = "agents"  // agents currently gathered on the node
+	fieldPlanned = "planned" // 1 once some agent published the dispatch plan
+	fieldQuota   = "quota."  // per-child remaining dispatch quota (suffix: child index)
+)
+
+// quotaField names the per-child dispatch-quota fields; interned once
+// in newFTWorld.
+func quotaField(i int) string { return fmt.Sprintf("%s%d", fieldQuota, i) }
+
+// RunVisibility executes CLEAN WITH VISIBILITY with one goroutine per
+// agent. Each agent runs the identical local program of Section 4.2:
+// gather on a node, wait until the complement is present and every
+// smaller neighbour is clean or guarded (read under the node's
+// visibility), claim a child slot on the whiteboard, and move.
+//
+// cfg.Faults injects stalls, latency spikes, whiteboard lock
+// starvation, and lost visibility wakeups, healed by a periodic
+// re-broadcaster (the visibility model's watchdog) that runs only
+// under a plan. Crash faults are rejected: the local rule has no order
+// ledger to reconstruct a dead agent's duty from, so crash recovery is
+// the coordinated runtime's province.
+func RunVisibility(d int, cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	var inj *faults.Injector
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
-			return FTReport{}, err
+			return Report{}, err
 		}
 		if cfg.Faults.RequiresRecovery() {
-			return FTReport{}, fmt.Errorf("runtime: crash faults require the coordinated runtime (RunCleanFT); the visibility local rule is not crash-recoverable")
+			return Report{}, fmt.Errorf("runtime: crash faults require the coordinated runtime (RunClean); the visibility local rule is not crash-recoverable")
 		}
 		inj = faults.NewInjector(cfg.Faults)
 	}
@@ -38,51 +55,24 @@ func RunVisibilityFT(d int, cfg Config) (FTReport, error) {
 	w.initAgents(team, team)
 	w.wb.At(0).Write(w.fAgents, int64(team))
 
-	if d == 0 {
-		w.mu.Lock()
-		w.terminateAllLocked()
-		w.mu.Unlock()
-		return w.report(VisibilityFTName, team, 0), nil
-	}
-
-	quit := make(chan struct{})
-	go w.rebroadcaster(quit)
-	var wg sync.WaitGroup
-	for i := 0; i < team; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w.ftAgentProgram(i, rand.New(rand.NewSource(deriveSeed(cfg.Seed, uint64(i)))))
-		}(i)
-	}
-	wg.Wait()
-	close(quit)
-	for i := 0; i < team; i++ {
-		w.stopHeartbeat(i)
-	}
-	return w.report(VisibilityFTName, team, 0), nil
-}
-
-// rebroadcaster periodically wakes every waiter, so a wakeup swallowed
-// by the fault injector only costs time, never liveness.
-func (w *ftWorld) rebroadcaster(quit chan struct{}) {
-	t := time.NewTicker(w.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			w.cond.Broadcast()
-			w.mu.Unlock()
+	if d > 0 {
+		if inj != nil {
+			w.goLive(func() bool {
+				w.mu.Lock()
+				w.cond.Broadcast()
+				w.mu.Unlock()
+				return true
+			})
 		}
+		w.runAgents(team, w.visibilityAgent)
 	}
+	return w.report(VisibilityName, team, 0), nil
 }
 
-// ftAgentProgram is the visibility local rule of Section 4.2 with
-// fault hooks on every move and broadcast.
-func (w *ftWorld) ftAgentProgram(id int, rng *rand.Rand) {
+// visibilityAgent is the visibility local rule of Section 4.2 with
+// fault hooks on every move and broadcast; it runs until the agent
+// retires on a broadcast-tree leaf.
+func (w *ftWorld) visibilityAgent(id int, rng *rand.Rand) {
 	at := 0
 	for {
 		w.mu.Lock()
@@ -97,6 +87,11 @@ func (w *ftWorld) ftAgentProgram(id int, rng *rand.Rand) {
 			return
 		}
 		required := heapqueue.AgentsRequired(k)
+		// The gather condition must latch: once any member of the
+		// complement observes it and publishes the dispatch plan,
+		// members that re-check later (after peers already departed,
+		// shrinking the count) must still pass. "planned" is that
+		// latch.
 		for !(w.wb.At(at).Read(w.fPlanned) == 1 ||
 			(w.wb.At(at).Read(w.fAgents) == required && w.smallerReadyLocked(at))) {
 			w.cond.Wait()
@@ -117,8 +112,42 @@ func (w *ftWorld) ftAgentProgram(id int, rng *rand.Rand) {
 		if act.Hold > 0 && w.cfg.FaultUnit > 0 {
 			time.Sleep(time.Duration(act.Hold) * w.cfg.FaultUnit)
 		}
-		w.broadcastLocked()
+		if !w.dropWakeupLocked() {
+			w.cond.Broadcast()
+		}
 		w.mu.Unlock()
 		at = target
 	}
+}
+
+// smallerReadyLocked is the visibility read: every smaller neighbour
+// of v is clean or guarded. Caller holds w.mu.
+func (w *ftWorld) smallerReadyLocked(v int) bool {
+	for _, u := range w.h.SmallerNeighbours(v) {
+		if w.b.StateOf(u) == board.Contaminated {
+			return false
+		}
+	}
+	return true
+}
+
+// claimSlotLocked atomically claims one dispatch slot on v's
+// whiteboard, publishing the plan on first access, and returns the
+// claimed child. Caller holds w.mu.
+func (w *ftWorld) claimSlotLocked(v, k int) int {
+	wb := w.wb.At(v)
+	if wb.Read(w.fPlanned) == 0 {
+		wb.Write(w.fPlanned, 1)
+		for i, q := range heapqueue.DispatchPlan(k) {
+			wb.Write(w.fQuota[i], q)
+		}
+	}
+	children := w.bt.Children(v)
+	for i, c := range children {
+		if wb.Read(w.fQuota[i]) > 0 {
+			wb.Add(w.fQuota[i], -1)
+			return c
+		}
+	}
+	panic(fmt.Sprintf("runtime: node %d has no free dispatch slot", v))
 }

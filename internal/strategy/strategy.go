@@ -269,7 +269,7 @@ func (e *Env) faultDelay(agent int, role string) int64 {
 	}
 	act := e.opts.Faults.BeforeMove(faults.MoveCtx{Agent: agent, Sync: role == RoleSynchronizer})
 	if act.Crash {
-		panic("strategy: crash faults require the crash-tolerant goroutine runtime (runtime.RunCleanFT)")
+		panic("strategy: crash faults require the goroutine runtime's crash recovery (runtime.RunClean)")
 	}
 	return act.Delay + act.Hold
 }

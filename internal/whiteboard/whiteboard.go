@@ -90,16 +90,27 @@ func (s *Store) At(v int) *Board { return &s.boards[v] }
 // Len returns the number of whiteboards.
 func (s *Store) Len() int { return len(s.boards) }
 
-// ensure grows the board's value slab to cover f. Caller holds b.mu.
+// ensure makes the board's value slab cover f. Caller holds b.mu. The
+// in-range check stays small enough to inline; growth is out of line.
 func (b *Board) ensure(f Field) {
 	if int(f) >= len(b.vals) {
-		vals := make([]int64, f+1)
-		copy(vals, b.vals)
-		b.vals = vals
-		written := make([]bool, f+1)
-		copy(written, b.written)
-		b.written = written
+		b.grow(f)
 	}
+}
+
+// grow at least doubles the slab, so a board that gains fields one at
+// a time (a ledger interning mirror fields per order) copies O(n)
+// values in all, not O(n²).
+//
+//go:noinline
+func (b *Board) grow(f Field) {
+	n := max(int(f)+1, 2*len(b.vals))
+	vals := make([]int64, n)
+	copy(vals, b.vals)
+	b.vals = vals
+	written := make([]bool, n)
+	copy(written, b.written)
+	b.written = written
 }
 
 // Read returns the value of a field (0 if never written), under the

@@ -1,6 +1,8 @@
 package whiteboard
 
 import (
+	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +55,33 @@ func TestReadBeyondSlab(t *testing.T) {
 	}
 	if s.At(0).Bits() != 0 {
 		t.Error("reads must not count toward Bits")
+	}
+}
+
+// Writing fields 0..n-1 in order on one board must grow its slab
+// geometrically: O(log n) allocations, not one per new field.
+func TestWriteGrowthAmortized(t *testing.T) {
+	const n = 4096
+	s := NewStore(1)
+	fields := make([]Field, n)
+	for i := range fields {
+		fields[i] = s.Field(fmt.Sprintf("f%d", i))
+	}
+	b := s.At(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		b.vals, b.written = nil, nil
+		for i, f := range fields {
+			b.Write(f, int64(i))
+		}
+	})
+	// Two slabs (values and written flags) per doubling.
+	if limit := 2 * (bits.Len(n) + 1); allocs > float64(limit) {
+		t.Errorf("%d in-order writes made %.0f allocations, want at most %d", n, allocs, limit)
+	}
+	for i, f := range fields {
+		if got := b.Read(f); got != int64(i) {
+			t.Fatalf("field %d reads %d after growth", i, got)
+		}
 	}
 }
 
